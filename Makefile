@@ -101,7 +101,9 @@ eval-smoke:
 ## detector over the concurrent/guarded packages and the
 ## serving/resilience stack, the chaos soak, the cluster smoke, the
 ## durable-jobs smoke, the continuous-pipeline smoke, a fuzz smoke, the
-## solution-quality gate, and a one-iteration benchmark smoke.
+## solution-quality gate, a one-iteration benchmark smoke, and the
+## checks of the nested bccperf benchmark module, which the root
+## `go test ./...` does not reach.
 ci:
 	$(GO) build ./...
 	$(GO) build -o /dev/null ./cmd/bccserver
@@ -110,6 +112,7 @@ ci:
 	$(GO) build -o /dev/null ./cmd/bcceval
 	$(GO) test -shuffle=on ./...
 	$(GO) vet ./...
+	cd bccperf && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke

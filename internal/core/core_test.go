@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cover"
+	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -207,14 +210,50 @@ func TestUniformCostsI2EquivalentToDkS(t *testing.T) {
 	}
 }
 
+// TestDeterministicWithSeed solves each instance twice at one seed and
+// requires the same plan, classifier for classifier: a small random
+// instance, and a Private-size one whose QK graphs have thousands of
+// edges, so an order leaking from a map would show in the plan.
 func TestDeterministicWithSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	in := randomInstance(rng, 12, 30, 3, 15)
-	a := Solve(in, Options{Seed: 9})
-	b := Solve(in, Options{Seed: 9})
-	if a.Utility != b.Utility || a.Cost != b.Cost {
-		t.Fatalf("same seed, different outcomes: %v/%v vs %v/%v",
-			a.Utility, a.Cost, b.Utility, b.Cost)
+	keys := func(r Result) []string {
+		var out []string
+		for _, c := range r.Solution.Classifiers() {
+			out = append(out, c.Props.Key())
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name string
+		in   *model.Instance
+		seed int64
+	}{
+		{"random-30q", randomInstance(rng, 12, 30, 3, 15), 9},
+		{"private-103-b1800", dataset.Private(103, 1800), 1},
+	} {
+		a, b := Solve(c.in, Options{Seed: c.seed}), Solve(c.in, Options{Seed: c.seed})
+		if ka, kb := keys(a), keys(b); a.Utility != b.Utility || a.Cost != b.Cost || !slices.Equal(ka, kb) {
+			t.Fatalf("%s: same seed, different plans: utility %v cost %v (%d classifiers) vs %v cost %v (%d classifiers)",
+				c.name, a.Utility, a.Cost, len(ka), b.Utility, b.Cost, len(kb))
+		}
+	}
+}
+
+// TestSubproblemEdgesDeterministic builds the subproblems of one
+// Private-like instance twice. The QK solver breaks ties by edge order,
+// so the two edge lists must be identical, not merely equal as sets.
+func TestSubproblemEdgesDeterministic(t *testing.T) {
+	in := dataset.Private(103, 1600)
+	a := buildSubproblems(nil, cover.New(in), nil, math.Inf(1))
+	b := buildSubproblems(nil, cover.New(in), nil, math.Inf(1))
+	ea, eb := a.graph.Edges(), b.graph.Edges()
+	if len(ea) != len(eb) {
+		t.Fatalf("edge counts differ: %d vs %d", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i] != eb[i] {
+			t.Fatalf("edge %d of %d differs between builds: %+v vs %+v", i, len(ea), ea[i], eb[i])
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/cover"
 	"repro/internal/guard"
@@ -145,8 +147,16 @@ func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed map[string]bool,
 	for i, c := range sp.nodeSets {
 		sp.graph.SetCost(i, in.Cost(c))
 	}
-	for k, w := range edges {
-		sp.graph.AddEdgeMerged(k[0], k[1], w)
+	// Add the edges in sorted endpoint order, not map order: the QK solver
+	// breaks ties by edge order, so map order would make the plan vary
+	// from run to run at a fixed seed.
+	pairs := make([][2]int, 0, len(edges))
+	for k := range edges {
+		pairs = append(pairs, k)
+	}
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
+	for _, k := range pairs {
+		sp.graph.AddEdgeMerged(k[0], k[1], edges[k])
 	}
 	if sp.vStar >= 0 {
 		sp.graph.SetCost(sp.vStar, 0)

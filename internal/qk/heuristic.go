@@ -1,10 +1,11 @@
 package qk
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -387,41 +388,39 @@ func (st *countState) totalSelected() int {
 }
 
 // greedyFill places up to k unit copies, one at a time, always choosing
-// the copy with the maximum marginal per-copy degree (lazy max-heap). When
-// no positive gain exists it seeds with the cross-edge of the highest
-// per-copy-pair weight.
+// the copy with the maximum marginal per-copy degree, ties to the lower
+// node (lazy max-heap in canonical order). Gains only grow and every
+// change pushes an entry at the new gain, so an entry below its node's
+// current gain is stale and dropped. When no positive gain exists it
+// seeds with the cross-edge of the highest per-copy-pair weight.
 func (st *countState) greedyFill(gu *guard.Guard, k int) {
-	h := &gainHeap{}
-	heap.Init(h)
 	gain := make([]float64, len(st.s))
+	var h maxHeap
 	for v := range st.s {
 		if st.active[v] {
 			gain[v] = st.bonus[v] / float64(st.c[v])
 			if gain[v] > 0 {
-				heap.Push(h, gainItem{v, gain[v]})
+				h = append(h, candidate{v, gain[v]})
 			}
 		}
 	}
+	h.init()
 	placed := 0
 	for placed < k {
 		if gu.Check() {
 			return
 		}
 		v := -1
-		for h.Len() > 0 {
-			it := heap.Pop(h).(gainItem)
-			if st.s[it.node] >= st.c[it.node] {
+		for len(h) > 0 {
+			it := h.pop()
+			if st.s[it.v] >= st.c[it.v] || it.score != gain[it.v] {
 				continue
 			}
-			if it.gain < gain[it.node]-1e-12 {
-				heap.Push(h, gainItem{it.node, gain[it.node]})
-				continue
-			}
-			if it.gain <= 0 {
-				h.reset()
+			if it.score <= 0 {
+				h = h[:0]
 				break
 			}
-			v = it.node
+			v = it.v
 			break
 		}
 		if v < 0 {
@@ -443,28 +442,28 @@ func (st *countState) greedyFill(gu *guard.Guard, k int) {
 			if bu < 0 || placed+2 > k {
 				break
 			}
-			st.place(bu, gain, h)
-			st.place(bv, gain, h)
+			st.place(bu, gain, &h)
+			st.place(bv, gain, &h)
 			placed += 2
 			continue
 		}
-		st.place(v, gain, h)
+		st.place(v, gain, &h)
 		placed++
 	}
 }
 
-func (st *countState) place(v int, gain []float64, h *gainHeap) {
+func (st *countState) place(v int, gain []float64, h *maxHeap) {
 	st.s[v]++
 	st.g.Neighbors(v, func(u int, w float64, _ int) {
 		if st.active[u] && st.side[u] != st.side[v] {
 			gain[u] += w / (float64(st.c[u]) * float64(st.c[v]))
 			if st.s[u] < st.c[u] {
-				heap.Push(h, gainItem{u, gain[u]})
+				h.push(candidate{u, gain[u]})
 			}
 		}
 	})
 	if st.s[v] < st.c[v] {
-		heap.Push(h, gainItem{v, gain[v]})
+		h.push(candidate{v, gain[v]})
 	}
 }
 
@@ -531,11 +530,8 @@ func (st *countState) refill(left bool) {
 	for _, v := range nodes {
 		deg[v] = st.perCopyDeg(v)
 	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if deg[nodes[i]] != deg[nodes[j]] {
-			return deg[nodes[i]] > deg[nodes[j]]
-		}
-		return nodes[i] < nodes[j]
+	slices.SortFunc(nodes, func(a, b int) int {
+		return cmp.Or(cmp.Compare(deg[b], deg[a]), a-b)
 	})
 	for _, v := range nodes {
 		if units == 0 {
@@ -641,23 +637,3 @@ func (st *countState) edgeShare(u, v int) float64 {
 	}
 	return w / (float64(st.c[u]) * float64(st.c[v]))
 }
-
-type gainItem struct {
-	node int
-	gain float64
-}
-
-type gainHeap []gainItem
-
-func (h gainHeap) Len() int            { return len(h) }
-func (h gainHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h gainHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gainHeap) Push(x interface{}) { *h = append(*h, x.(gainItem)) }
-func (h *gainHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-func (h *gainHeap) reset() { *h = (*h)[:0] }

@@ -23,9 +23,9 @@
 package qk
 
 import (
-	"container/heap"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/guard"
 	"repro/internal/wgraph"
@@ -74,12 +74,19 @@ func SolveGreedy(g *wgraph.Graph, budget float64) Result {
 
 // greedyGrow extends start (taken as already selected, its cost counted)
 // with the best marginal weight-per-cost additions until the budget is
-// exhausted. Gains are tracked incrementally in a lazily revalidated heap:
-// since the remaining budget only shrinks, a node that does not fit can be
-// discarded permanently, and stale scores are re-pushed on pop.
+// exhausted, taking at each step the first node in canonical order
+// (score desc, node asc) among those that still fit. Every gain change
+// pushes an entry at the new score, so a popped entry whose score has
+// moved is stale and dropped. The remaining budget only shrinks, so a
+// node that does not fit is never pushed and is dropped on pop once it
+// stops fitting; under a total order that cannot change which fitting
+// node pops next (DESIGN.md §5).
 func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) []int {
+	s := growers.Get().(*grower)
 	n := g.NumNodes()
-	in := make([]bool, n)
+	in := reset(&s.in, n)
+	gain := reset(&s.gain, n)
+	boot := reset(&s.boot, n)
 	var cost float64
 	out := make([]int, 0, len(start))
 	for _, v := range start {
@@ -89,8 +96,6 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 			out = append(out, v)
 		}
 	}
-	gain := make([]float64, n)
-	boot := make([]float64, n)
 	for _, e := range g.Edges() {
 		switch {
 		case in[e.U] && !in[e.V]:
@@ -115,34 +120,24 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		}
 		return gv / math.Max(g.Cost(v), 1e-9)
 	}
-	h := &growHeap{}
-	heap.Init(h)
+	fits := func(v int) bool { return g.Cost(v) <= budget-cost+1e-9 }
+	h := s.heap[:0]
 	for v := 0; v < n; v++ {
-		if !in[v] {
+		if !in[v] && fits(v) {
 			if sc := score(v); sc > 0 {
-				heap.Push(h, growEntry{v, sc})
+				h = append(h, candidate{v, sc})
 			}
 		}
 	}
-	for h.Len() > 0 {
+	h.init()
+	for len(h) > 0 {
 		if gu.Check() {
 			break
 		}
-		e := heap.Pop(h).(growEntry)
+		e := h.pop()
 		v := e.v
-		if in[v] {
+		if in[v] || e.score != score(v) || !fits(v) {
 			continue
-		}
-		sc := score(v)
-		if sc <= 0 {
-			continue
-		}
-		if math.Abs(sc-e.score) > 1e-12 {
-			heap.Push(h, growEntry{v, sc})
-			continue
-		}
-		if g.Cost(v) > budget-cost+1e-9 {
-			continue // permanently unaffordable: budget only shrinks
 		}
 		in[v] = true
 		cost += g.Cost(v)
@@ -150,32 +145,38 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		g.Neighbors(v, func(u int, w float64, _ int) {
 			if !in[u] {
 				gain[u] += w
-				if sc := score(u); sc > 0 {
-					heap.Push(h, growEntry{u, sc})
+				if sc := score(u); sc > 0 && fits(u) {
+					h.push(candidate{u, sc})
 				}
 			}
 		})
 	}
+	s.heap = h
+	growers.Put(s)
 	return out
 }
 
-type growEntry struct {
-	v     int
-	score float64
+// grower is greedyGrow's scratch: its per-node arrays and the heap's
+// backing slice, kept across calls. Restart workers complete candidates
+// concurrently, so growers come from a pool.
+type grower struct {
+	in         []bool
+	gain, boot []float64
+	heap       maxHeap
 }
 
-type growHeap []growEntry
+var growers = sync.Pool{New: func() any { return new(grower) }}
 
-func (h growHeap) Len() int            { return len(h) }
-func (h growHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h growHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *growHeap) Push(x interface{}) { *h = append(*h, x.(growEntry)) }
-func (h *growHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// reset resizes *buf to n zeroed elements, reusing its storage when it is
+// large enough, and returns it.
+func reset[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
 }
 
 // BruteForce enumerates all node subsets; for tests on tiny graphs only.

@@ -3,6 +3,7 @@ package qk
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/wgraph"
@@ -152,8 +153,114 @@ func TestHeuristicDeterministic(t *testing.T) {
 	g := randomQK(rng, 30, 0.2, 6)
 	a := SolveHeuristic(g, 20, Options{Seed: 5})
 	b := SolveHeuristic(g, 20, Options{Seed: 5})
-	if a.Weight != b.Weight || len(a.Nodes) != len(b.Nodes) {
+	if a.Weight != b.Weight || !slices.Equal(a.Nodes, b.Nodes) {
 		t.Fatalf("same seed, different results: %v vs %v", a, b)
+	}
+}
+
+// referenceGrow is greedyGrow without a heap: every step rescans all
+// nodes, recomputes each gain from scratch, and takes the first node in
+// the canonical order (score desc, node asc) among those that still fit.
+// It is O(n²) per step and serves as the kernel's oracle.
+func referenceGrow(g *wgraph.Graph, budget float64, start []int) []int {
+	n := g.NumNodes()
+	in := make([]bool, n)
+	var cost float64
+	var out []int
+	for _, v := range start {
+		if !in[v] {
+			in[v] = true
+			cost += g.Cost(v)
+			out = append(out, v)
+		}
+	}
+	for {
+		best, bestScore := -1, 0.0
+		for v := 0; v < n; v++ {
+			if in[v] || g.Cost(v) > budget-cost+1e-9 {
+				continue
+			}
+			var gain, boot float64
+			g.Neighbors(v, func(u int, w float64, _ int) {
+				if in[u] {
+					gain += w
+				}
+				boot = math.Max(boot, w/4)
+			})
+			if gain == 0 {
+				gain = boot
+			}
+			if gain <= 0 {
+				continue
+			}
+			if sc := gain / math.Max(g.Cost(v), 1e-9); sc > bestScore {
+				best, bestScore = v, sc
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		in[best] = true
+		cost += g.Cost(best)
+		out = append(out, best)
+	}
+}
+
+// tieQK is a random graph built to stress the greedy's tie, stale-entry
+// and filter paths: small integer costs (zero included), integer weights
+// (zero included) of which about a quarter are scaled up 8×, so a node's
+// first real gain can fall below its bootstrap score, and about one node
+// in eight isolated.
+func tieQK(rng *rand.Rand) *wgraph.Graph {
+	n := 1 + rng.Intn(40)
+	g := wgraph.New(n)
+	isolated := make([]bool, n)
+	for v := 0; v < n; v++ {
+		g.SetCost(v, float64(rng.Intn(7)))
+		isolated[v] = rng.Intn(8) == 0
+	}
+	p := 0.05 + 0.4*rng.Float64()
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if !isolated[u] && !isolated[v] && rng.Float64() < p {
+				w := float64(rng.Intn(5))
+				if rng.Intn(4) == 0 {
+					w *= 8
+				}
+				g.AddEdge(u, v, w)
+			}
+		}
+	}
+	return g
+}
+
+// TestGreedyGrowMatchesReference requires the heap kernel to select the
+// same nodes in the same order as the heap-free oracle, on random graphs
+// at budgets from 0 to the total cost, with and without a start set.
+func TestGreedyGrowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		g := tieQK(rng)
+		n := g.NumNodes()
+		total := 0.0
+		for v := 0; v < n; v++ {
+			total += g.Cost(v)
+		}
+		budgets := []float64{0, total, float64(rng.Intn(int(total) + 1)), rng.Float64() * total}
+		var start []int
+		for i := rng.Intn(4); i > 0; i-- {
+			start = append(start, rng.Intn(n)) // repeats allowed
+		}
+		for _, b := range budgets {
+			for _, st := range [][]int{nil, start} {
+				got := greedyGrow(nil, g, b, st)
+				want := referenceGrow(g, b, st)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d (n=%d, m=%d) budget %v start %v:\n kernel %v\n oracle %v",
+						trial, n, g.NumEdges(), b, st, got, want)
+				}
+			}
+		}
 	}
 }
 
