@@ -53,13 +53,15 @@ soak-smoke:
 	$(GO) test -race -run TestChaosSoak -v ./internal/server/ -soak 10s
 
 ## fuzz-smoke: a short native-fuzz pass over the instance decode paths
-## (FuzzRead and the server-facing FuzzFromFormat) and the durable
-## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing).
+## (FuzzRead and the server-facing FuzzFromFormat), the durable
+## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing), and
+## the coverage tracker against its string-keyed oracle (FuzzTracker).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzJobRecord -fuzztime 10s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
+	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/cover/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
 ## detector — a bccgate gateway over two in-process backends, checking

@@ -203,9 +203,9 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 
 	t = cover.New(in)
 	// Free classifiers are always selected (paper §4.1 preprocessing).
-	for _, c := range in.Classifiers() {
+	for ci, c := range in.Classifiers() {
 		if c.Cost == 0 {
-			t.Add(c.Props)
+			t.AddIndex(ci)
 		}
 	}
 	// Warm start: restore the incumbent before any optimization so even
@@ -244,7 +244,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		opts.QK.Iterations = 2
 	}
 
-	var allowed map[string]bool
+	var allowed []bool
 	if !opts.DisablePruning && !opts.warmFast {
 		t0 := rec.Start()
 		allowed, pruned = pruneClassifiers(g, t, opts)
@@ -291,7 +291,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 // the phase gains utility nor the MC3 local search frees budget, followed
 // by an IG1-style fill of any stranded budget. It returns the number of
 // rounds executed.
-func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[string]bool, opts Options) int {
+func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, opts Options) int {
 	in := t.Instance()
 	iterations := 0
 	for iterations < opts.MaxIterations && !g.Tripped() {
@@ -333,7 +333,7 @@ func phaseMaxCost(opts Options, budget float64) float64 {
 // phase solves BCC(1) (knapsack) and BCC(2) (QK) on the residual problem
 // with the given absolute cost ceiling, applies the better of the two
 // candidate selections, and reports whether utility increased.
-func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[string]bool, ceiling float64, opts Options) bool {
+func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, ceiling float64, opts Options) bool {
 	budget := ceiling - t.Cost()
 	if budget <= 0 || g.Tripped() {
 		return false
@@ -345,14 +345,14 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[stri
 	t0 := rec.Start()
 	kres := knapsack.SolveGuard(g, sp.items, budget, opts.Epsilon)
 	rec.End(obs.StageKnapsack, t0, len(sp.items))
-	var kadd []propset.Set
+	var kadd []int32
 	for _, i := range kres.Chosen {
-		kadd = append(kadd, sp.itemSets[i])
+		kadd = append(kadd, sp.itemCls[i])
 	}
 
 	// BCC(2): Quadratic Knapsack over 2-covers (plus the vStar-encoded
 	// 1-cover bonuses; see subproblems).
-	var qadd []propset.Set
+	var qadd []int32
 	if sp.graph.NumEdges() > 0 && !g.Tripped() {
 		t0 = rec.Start()
 		qres := qk.SolveHeuristicGuard(g, sp.graph, budget, opts.QK)
@@ -365,40 +365,41 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[stri
 	// pick-the-better rule of Observation 4.2 holds a fortiori, and the
 	// finer allocation captures workloads whose optimum needs both 1- and
 	// 2-covers in the same round.
-	mix := func(first []propset.Set) []propset.Set {
+	cls := t.Instance().Classifiers()
+	mix := func(first []int32) []int32 {
 		c := t.Clone()
 		halfCeil := t.Cost() + budget/2
-		var add []propset.Set
-		for _, s := range first {
-			if c.Cost()+t.Instance().Cost(s) > halfCeil+1e-9 {
+		var add []int32
+		for _, ci := range first {
+			if c.Cost()+cls[ci].Cost > halfCeil+1e-9 {
 				continue
 			}
-			c.Add(s)
-			add = append(add, s)
+			c.AddIndex(int(ci))
+			add = append(add, ci)
 		}
 		sp2 := buildSubproblems(g, c, allowed, phaseMaxCost(opts, ceiling-c.Cost()))
 		t0 := rec.Start()
 		k2 := knapsack.SolveGuard(g, sp2.items, ceiling-c.Cost(), opts.Epsilon)
 		rec.End(obs.StageKnapsack, t0, len(sp2.items))
 		for _, i := range k2.Chosen {
-			c.Add(sp2.itemSets[i])
-			add = append(add, sp2.itemSets[i])
+			c.AddIndex(int(sp2.itemCls[i]))
+			add = append(add, sp2.itemCls[i])
 		}
 		if sp2.graph.NumEdges() > 0 && !g.Tripped() {
 			t0 = rec.Start()
 			q2 := qk.SolveHeuristicGuard(g, sp2.graph, ceiling-c.Cost(), opts.QK)
 			rec.End(obs.StageQK, t0, sp2.graph.NumEdges())
 			for _, probe := range sp2.qkNodes(q2.Nodes) {
-				if c.Cost()+t.Instance().Cost(probe) > ceiling+1e-9 {
+				if c.Cost()+cls[probe].Cost > ceiling+1e-9 {
 					continue
 				}
-				c.Add(probe)
+				c.AddIndex(int(probe))
 				add = append(add, probe)
 			}
 		}
 		return add
 	}
-	var mixK, mixQ []propset.Set
+	var mixK, mixQ []int32
 	if opts.MixedPhase && len(kadd) > 0 && len(qadd) > 0 && !g.Tripped() {
 		mixK = mix(kadd)
 		mixQ = mix(qadd)
@@ -407,14 +408,14 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[stri
 	// Apply the best candidate by true utility gain. This still runs after
 	// a trip: the candidates already computed are feasibility-checked
 	// below, and applying one is what makes the run anytime.
-	bestGain, bestAdd := 0.0, []propset.Set(nil)
-	for _, add := range [][]propset.Set{kadd, qadd, mixK, mixQ} {
+	bestGain, bestAdd := 0.0, []int32(nil)
+	for _, add := range [][]int32{kadd, qadd, mixK, mixQ} {
 		if len(add) == 0 {
 			continue
 		}
 		c := t.Clone()
-		for _, s := range add {
-			c.Add(s)
+		for _, ci := range add {
+			c.AddIndex(int(ci))
 		}
 		if c.Cost() > ceiling+1e-9 {
 			continue
@@ -426,8 +427,8 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed map[stri
 	if bestAdd == nil {
 		return false
 	}
-	for _, s := range bestAdd {
-		t.Add(s)
+	for _, ci := range bestAdd {
+		t.AddIndex(int(ci))
 	}
 	return bestGain > 0
 }

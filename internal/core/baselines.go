@@ -9,7 +9,6 @@ import (
 	"repro/internal/cover"
 	"repro/internal/guard"
 	"repro/internal/model"
-	"repro/internal/propset"
 )
 
 // SolveRand is the RAND baseline: repeatedly select one uniformly random
@@ -20,20 +19,21 @@ func SolveRand(in *model.Instance, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 	t := cover.New(in)
-	pool := make([]propset.Set, 0, len(in.Classifiers()))
-	for _, c := range in.Classifiers() {
-		pool = append(pool, c.Props)
+	cls := in.Classifiers()
+	pool := make([]int, len(cls))
+	for ci := range pool {
+		pool[ci] = ci
 	}
 	steps := 0
 	for len(pool) > 0 {
 		i := rng.Intn(len(pool))
-		c := pool[i]
+		ci := pool[i]
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
-		if t.Has(c) || in.Cost(c) > t.Remaining()+1e-9 {
+		if t.HasIndex(ci) || cls[ci].Cost > t.Remaining()+1e-9 {
 			continue
 		}
-		t.Add(c)
+		t.AddIndex(ci)
 		steps++
 	}
 	return resultFrom(t, steps, 0, start)
@@ -63,23 +63,38 @@ func IG1Fill(g *guard.Guard, t *cover.Tracker) int { return ig1Fill(g, t) }
 // ig1Fill runs the IG1 selection loop on an existing tracker until no
 // further query cover fits the remaining budget, returning the number of
 // covers selected. It is both the IG1 baseline and the leftover-budget
-// completion pass of A^BCC. Query scores live in a lazily revalidated
-// max-heap and are refreshed only for the queries a selected classifier
-// can affect.
+// completion pass of A^BCC.
 func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
+	return IG1Loop(t, true, g.Check, nil)
+}
+
+// IG1Loop is IG1's greedy selection loop, shared by the budgeted IG1
+// above, GMC3's IG1(G) and ECC's IG1(E). On an existing tracker it
+// repeatedly selects the whole cheapest cover (MinCover) of the uncovered
+// query with the best utility-to-cost ratio, ties to the lower query
+// index. stop is asked before every pop and ends the loop when it reports
+// true (nil never stops). With budgeted, a cover costing more than the
+// remaining budget is passed over until a later selection makes it
+// cheaper. selected, when not nil, receives each selected cover's
+// classifier indices after they are added. It returns the number of
+// covers selected. Query scores live in a lazily revalidated max-heap and
+// are refreshed only for the queries a selected classifier can affect.
+func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(cover []int32)) int {
 	in := t.Instance()
 	h := &entryHeap{}
 	heap.Init(h)
 	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
+	covSets := make([][]int32, in.NumQueries())
 	covCost := make([]float64, in.NumQueries())
+	touched := make([]bool, in.NumQueries())
+	var refreshed []int
 
 	refresh := func(qi int) {
 		if t.Covered(qi) {
 			score[qi] = 0
 			return
 		}
-		cost, sets := t.MinCoverCost(qi, nil)
+		cost, sets := t.MinCover(qi, nil)
 		covCost[qi], covSets[qi] = cost, sets
 		u := in.Queries()[qi].Utility
 		switch {
@@ -100,7 +115,7 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 
 	steps := 0
 	for h.Len() > 0 {
-		if g.Check() {
+		if stop != nil && stop() {
 			break
 		}
 		e := heap.Pop(h).(qEntry)
@@ -113,21 +128,30 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 			heap.Push(h, qEntry{qi, score[qi]})
 			continue
 		}
-		if covCost[qi] > t.Remaining()+1e-9 {
+		if budgeted && covCost[qi] > t.Remaining()+1e-9 {
 			score[qi] = 0 // cover may get cheaper later; it will be refreshed
 			continue
 		}
 		// Select the whole cover set.
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
+		chosen := covSets[qi]
+		refreshed = refreshed[:0]
+		for _, ci := range chosen {
+			qs, _ := t.Occurrences(int(ci))
+			for _, q2 := range qs {
+				if !touched[q2] {
+					touched[q2] = true
+					refreshed = append(refreshed, q2)
+				}
 			}
-			t.Add(c)
+			t.AddIndex(int(ci))
 		}
 		steps++
-		for q2 := range touched {
+		for _, q2 := range refreshed {
+			touched[q2] = false
 			refresh(q2)
+		}
+		if selected != nil {
+			selected(chosen)
 		}
 	}
 	return steps
@@ -140,18 +164,22 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 func SolveIG2(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	// util[c] = Σ utilities of uncovered queries containing classifier c.
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
 	classifiers := in.Classifiers()
+	// util[ci] = Σ utilities of uncovered queries containing classifier ci.
+	util := make([]float64, len(classifiers))
+	credit := func(qi int, u float64) {
+		for _, ci := range in.SubsetTable(qi) {
+			if ci >= 0 {
+				util[ci] += u
+			}
+		}
+	}
+	for qi, q := range in.Queries() {
+		credit(qi, q.Utility)
+	}
 	scoreOf := func(ci int) float64 {
 		c := classifiers[ci]
-		u := util[c.Props.Key()]
+		u := util[ci]
 		if u <= 0 {
 			return 0
 		}
@@ -168,10 +196,11 @@ func SolveIG2(in *model.Instance) Result {
 		}
 	}
 	steps := 0
+	var before []bool
 	for h.Len() > 0 {
 		e := heap.Pop(h).(cEntry)
 		c := classifiers[e.ci]
-		if t.Has(c.Props) {
+		if t.HasIndex(e.ci) {
 			continue
 		}
 		s := scoreOf(e.ci)
@@ -187,19 +216,16 @@ func SolveIG2(in *model.Instance) Result {
 		}
 		// Select and update utilities of classifiers sharing newly covered
 		// queries.
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
+		rel, _ := t.Occurrences(e.ci)
+		before = before[:0]
+		for _, qi := range rel {
+			before = append(before, t.Covered(qi))
 		}
-		t.Add(c.Props)
+		t.AddIndex(e.ci)
 		steps++
 		for i, qi := range rel {
 			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
+				credit(qi, -in.Queries()[qi].Utility)
 			}
 		}
 	}
@@ -211,11 +237,19 @@ type qEntry struct {
 	score float64
 }
 
+// entryHeap orders IG1's entries by score, ties to the lower query
+// index. The order is total, so the pop sequence depends only on the
+// entries pushed, not on the order they were pushed in.
 type entryHeap []qEntry
 
-func (h entryHeap) Len() int           { return len(h) }
-func (h entryHeap) Less(i, j int) bool { return h[i].score > h[j].score }
-func (h entryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h entryHeap) Len() int { return len(h) }
+func (h entryHeap) Less(i, j int) bool {
+	if h[i].score != h[j].score {
+		return h[i].score > h[j].score
+	}
+	return h[i].qi < h[j].qi
+}
+func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *entryHeap) Push(x interface{}) {
 	*h = append(*h, x.(qEntry))
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/dataset"
+	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -239,6 +240,25 @@ func TestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
+// TestIG1Deterministic runs IG1 six times on one Private-like instance
+// and requires one plan. Its lazy heap holds many tied scores, so a pop
+// order that leaks from map iteration shows up as differing plans.
+func TestIG1Deterministic(t *testing.T) {
+	in := dataset.Private(502, 1600)
+	var first []string
+	for run := 0; run < 6; run++ {
+		var keys []string
+		for _, c := range SolveIG1(in).Solution.Classifiers() {
+			keys = append(keys, c.Props.Key())
+		}
+		if run == 0 {
+			first = keys
+		} else if !slices.Equal(first, keys) {
+			t.Fatalf("run %d: IG1 plan differs from run 0 (%d vs %d classifiers)", run, len(keys), len(first))
+		}
+	}
+}
+
 // TestSubproblemEdgesDeterministic builds the subproblems of one
 // Private-like instance twice. The QK solver breaks ties by edge order,
 // so the two edge lists must be identical, not merely equal as sets.
@@ -322,5 +342,33 @@ func BenchmarkIG2Medium(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = SolveIG2(in)
+	}
+}
+
+// TestLeverageDropSkipsAnchor builds a QK graph whose virtual anchor
+// carries almost no weight, so R2 leverage pruning reaches the anchor
+// while still under its drop budget. The anchor is no classifier: the
+// drop loop must pass over it, and A^BCC must finish no worse than IG1.
+func TestLeverageDropSkipsAnchor(t *testing.T) {
+	b := model.NewBuilder()
+	name := func(i int) string { return fmt.Sprintf("p%d", i) }
+	for i := 0; i < 40; i++ {
+		b.SetCost(1, name(i))
+		for j := i + 1; j < 40; j++ {
+			if (i+j)%3 == 0 {
+				b.AddQuery(10, name(i), name(j))
+				b.SetCost(math.Inf(1), name(i), name(j))
+			}
+		}
+	}
+	b.AddQuery(0.01, name(1))
+	in := b.MustInstance(20)
+	res := Solve(in, Options{})
+	if res.Status != guard.Complete {
+		t.Fatalf("status %v (%v), want complete", res.Status, res.Err)
+	}
+	checkResult(t, in, res, "A^BCC")
+	if ig1 := SolveIG1(in); res.Utility < ig1.Utility {
+		t.Fatalf("A^BCC utility %v below IG1's %v", res.Utility, ig1.Utility)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/guard"
-	"repro/internal/propset"
 	"repro/internal/wgraph"
 )
 
@@ -26,18 +25,31 @@ import (
 // never pruned if that would push some query's cheapest cover above the
 // budget while it was affordable before.
 //
-// The returned map marks the allowed classifier keys; the int is the
-// number of pruned candidates.
-func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) (map[string]bool, int) {
+// The returned mask marks the allowed classifiers by index; the int is
+// the number of pruned candidates.
+func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) ([]bool, int) {
 	in := t.Instance()
-	allowed := make(map[string]bool, len(in.Classifiers()))
-	for _, c := range in.Classifiers() {
-		allowed[c.Props.Key()] = true
+	cls := in.Classifiers()
+	allowed := make([]bool, len(cls))
+	for ci := range allowed {
+		allowed[ci] = true
+	}
+	// single[p] is the cost of the singleton classifier {p}, +Inf when it
+	// is not in CL. Mask 1<<i picks a query's i-th property alone.
+	single := make([]float64, in.NumProperties())
+	for qi, q := range in.Queries() {
+		table := in.SubsetTable(qi)
+		for i, p := range q.Props {
+			single[p] = math.Inf(1)
+			if ci := table[1<<i-1]; ci >= 0 {
+				single[p] = cls[ci].Cost
+			}
+		}
 	}
 
 	// R1: replaceable long classifiers. Stopping early on a tripped guard
-	// just prunes less — the allowed map stays valid.
-	for _, c := range in.Classifiers() {
+	// just prunes less — the allowed mask stays valid.
+	for ci, c := range cls {
 		if g.Check() {
 			break
 		}
@@ -48,7 +60,7 @@ func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) (map[strin
 		sum := 0.0
 		feasible := true
 		for _, p := range c.Props {
-			sc := in.Cost(propset.New(p))
+			sc := single[p]
 			if math.IsInf(sc, 1) {
 				feasible = false
 				break
@@ -56,7 +68,7 @@ func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) (map[strin
 			sum += sc
 		}
 		if feasible && sum <= float64(r)*c.Cost+1e-9 {
-			allowed[c.Props.Key()] = false
+			allowed[ci] = false
 		}
 	}
 	protectCoverability(g, t, allowed)
@@ -73,12 +85,15 @@ func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) (map[strin
 		dropBudget := (1 - opts.LeverageKeep) * qg.TotalWeight()
 		var droppedWeight float64
 		for _, v := range order {
+			if v == sp.vStar {
+				continue // the virtual anchor is no classifier
+			}
 			w := qg.WeightedDegree(v)
 			if droppedWeight+w > dropBudget {
 				break
 			}
 			droppedWeight += w
-			allowed[sp.nodeSets[v].Key()] = false
+			allowed[sp.nodeCls[v]] = false
 		}
 		protectCoverability(g, t, allowed)
 	}
@@ -95,37 +110,32 @@ func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) (map[strin
 // protectCoverability restores pruned classifiers for any query whose
 // cheapest cover became unaffordable under the pruned set while being
 // affordable with the full set.
-func protectCoverability(g *guard.Guard, t *cover.Tracker, allowed map[string]bool) {
+func protectCoverability(g *guard.Guard, t *cover.Tracker, allowed []bool) {
 	in := t.Instance()
 	budget := in.Budget()
 	for qi := range in.Queries() {
 		if g.Check() {
 			// Fail open: restore everything still un-vetted so a truncated
 			// pruning pass can never make a query uncoverable.
-			for k := range allowed {
-				allowed[k] = true
+			for ci := range allowed {
+				allowed[ci] = true
 			}
 			return
 		}
 		if t.Covered(qi) {
 			continue
 		}
-		cost, _ := t.MinCoverCost(qi, allowed)
-		if cost <= budget {
+		if t.MinCoverCost(qi, allowed) <= budget {
 			continue
 		}
-		full, _ := t.MinCoverCost(qi, nil)
-		if full > budget {
+		if t.MinCoverCost(qi, nil) > budget {
 			continue // uncoverable either way
 		}
-		in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-			k := sub.Key()
-			if _, exists := allowed[k]; exists {
-				allowed[k] = true
-			} else if !math.IsInf(in.Cost(sub), 1) {
-				allowed[k] = true
+		for _, ci := range in.SubsetTable(qi) {
+			if ci >= 0 {
+				allowed[ci] = true
 			}
-		})
+		}
 	}
 }
 

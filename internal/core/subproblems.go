@@ -2,13 +2,11 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 
 	"repro/internal/cover"
 	"repro/internal/guard"
 	"repro/internal/knapsack"
-	"repro/internal/propset"
 	"repro/internal/wgraph"
 )
 
@@ -21,8 +19,8 @@ import (
 // a 2-cover iff c1 ∪ c2 ⊇ residual(q) while neither alone suffices —
 // exactly the enlarged cover sets of Example 4.8.
 type subproblems struct {
-	items    []knapsack.Item
-	itemSets []propset.Set
+	items   []knapsack.Item
+	itemCls []int32 // classifier index of each item
 	// graph is the QK instance. Beyond the plain 2-cover edges of
 	// Observation 4.4, every classifier's 1-cover value is attached as an
 	// edge to a zero-cost virtual node vStar (the same encoding the
@@ -30,10 +28,23 @@ type subproblems struct {
 	// preselects zero-cost nodes, so these edges become linear bonuses and
 	// the QK candidate optimizes the combined 1-cover + 2-cover objective
 	// instead of being blind to singleton-query utility.
-	graph     *wgraph.Graph
-	nodeSets  []propset.Set
-	nodeIndex map[string]int
-	vStar     int // node index of the virtual anchor, -1 if absent
+	graph   *wgraph.Graph
+	nodeCls []int32 // classifier index of each node but vStar
+	vStar   int     // node index of the virtual anchor, -1 if absent
+}
+
+// candidate is one classifier a query's subproblem terms may use: its
+// index, its bit mask over the query's properties, and its cost.
+type candidate struct {
+	ci   int32
+	mask uint32
+	cost float64
+}
+
+// halfEdge is a 2-cover edge seen from its lower endpoint.
+type halfEdge struct {
+	to int
+	w  float64
 }
 
 // buildSubproblems scans the uncovered queries and assembles both
@@ -41,90 +52,88 @@ type subproblems struct {
 // classifiers, implementing the pruning of Algorithm 1 step 1. maxCost
 // (+Inf = everything) drops candidates that cannot fit the calling
 // phase's budget — the warm fast path's replacement for pruning.
-func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed map[string]bool, maxCost float64) *subproblems {
-	sp := &subproblems{nodeIndex: make(map[string]int)}
-	itemIndex := make(map[string]int)
-	type edgeAgg map[[2]int]float64
-	edges := edgeAgg{}
+//
+// Items and nodes are numbered in order of first appearance, and each
+// query's candidates come in ascending mask order, so the subproblems
+// are a pure function of the tracker state.
+func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed []bool, maxCost float64) *subproblems {
+	in := t.Instance()
+	cls := in.Classifiers()
+	sp := &subproblems{}
+	// itemOf and nodeOf map a classifier index to its item or node, -1
+	// when it has none yet.
+	itemOf := make([]int32, len(cls))
+	nodeOf := make([]int32, len(cls))
+	for i := range itemOf {
+		itemOf[i], nodeOf[i] = -1, -1
+	}
+	// pairs[a] collects node a's 2-cover edges to higher nodes, in the
+	// order the queries produce them.
+	var pairs [][]halfEdge
 
-	itemFor := func(c propset.Set, cost float64) int {
-		k := c.Key()
-		if i, ok := itemIndex[k]; ok {
-			return i
+	itemFor := func(ci int32) int {
+		if i := itemOf[ci]; i >= 0 {
+			return int(i)
 		}
 		i := len(sp.items)
-		itemIndex[k] = i
-		sp.items = append(sp.items, knapsack.Item{Weight: cost, Payload: i})
-		sp.itemSets = append(sp.itemSets, c.Clone())
+		itemOf[ci] = int32(i)
+		sp.items = append(sp.items, knapsack.Item{Weight: cls[ci].Cost, Payload: i})
+		sp.itemCls = append(sp.itemCls, ci)
 		return i
 	}
-	nodeFor := func(c propset.Set) int {
-		k := c.Key()
-		if i, ok := sp.nodeIndex[k]; ok {
-			return i
+	nodeFor := func(ci int32) int {
+		if i := nodeOf[ci]; i >= 0 {
+			return int(i)
 		}
-		i := len(sp.nodeSets)
-		sp.nodeIndex[k] = i
-		sp.nodeSets = append(sp.nodeSets, c.Clone())
+		i := len(sp.nodeCls)
+		nodeOf[ci] = int32(i)
+		sp.nodeCls = append(sp.nodeCls, ci)
+		pairs = append(pairs, nil)
 		return i
 	}
 
-	type cand struct {
-		c    propset.Set
-		cost float64
-	}
-	in := t.Instance()
+	var cands []candidate
 	for qi, q := range in.Queries() {
 		// A trip yields a partial subproblem — the phase still solves it and
 		// any candidate it produces remains feasibility-checked.
 		if g.Check() {
 			break
 		}
-		if t.Covered(qi) {
+		res := t.ResidualMask(qi)
+		if res == 0 {
 			continue
 		}
-		res := t.Residual(qi)
 		u := q.Utility
-		var cands []cand
-		q.Props.Subsets(func(sub propset.Set) {
-			k := sub.Key()
-			if t.Has(sub) {
-				return
+		cands = cands[:0]
+		for m, ci := range in.SubsetTable(qi) {
+			if ci < 0 || t.HasIndex(int(ci)) || (allowed != nil && !allowed[ci]) {
+				continue
 			}
-			if allowed != nil && !allowed[k] {
-				return
+			if cost := cls[ci].Cost; cost <= maxCost+1e-9 {
+				cands = append(cands, candidate{ci: ci, mask: uint32(m + 1), cost: cost})
 			}
-			cost := in.Cost(sub)
-			if math.IsInf(cost, 1) || cost > maxCost+1e-9 {
-				return
-			}
-			cands = append(cands, cand{c: sub, cost: cost})
-		})
+		}
 		// 1-covers.
 		for _, cd := range cands {
-			if res.SubsetOf(cd.c) {
-				i := itemFor(cd.c, cd.cost)
-				sp.items[i].Value += u
+			if res&^cd.mask == 0 {
+				sp.items[itemFor(cd.ci)].Value += u
 			}
 		}
 		// 2-covers (both classifiers needed).
 		for i := 0; i < len(cands); i++ {
-			if res.SubsetOf(cands[i].c) {
+			if res&^cands[i].mask == 0 {
 				continue
 			}
 			for j := i + 1; j < len(cands); j++ {
-				if res.SubsetOf(cands[j].c) {
+				if res&^cands[j].mask == 0 || res&^(cands[i].mask|cands[j].mask) != 0 {
 					continue
 				}
-				if !res.SubsetOf(cands[i].c.Union(cands[j].c)) {
-					continue
-				}
-				a := nodeFor(cands[i].c)
-				b := nodeFor(cands[j].c)
+				a := nodeFor(cands[i].ci)
+				b := nodeFor(cands[j].ci)
 				if a > b {
 					a, b = b, a
 				}
-				edges[[2]int{a, b}] += u
+				pairs[a] = append(pairs[a], halfEdge{to: b, w: u})
 			}
 		}
 	}
@@ -133,50 +142,52 @@ func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed map[string]bool,
 	// QK nodes become nodes so the QK solver can select them too.
 	sp.vStar = -1
 	if len(sp.items) > 0 {
-		for i := range sp.items {
-			nodeFor(sp.itemSets[i])
+		for _, ci := range sp.itemCls {
+			nodeFor(ci)
 		}
-		sp.vStar = len(sp.nodeSets)
+		sp.vStar = len(sp.nodeCls)
 	}
 
-	n := len(sp.nodeSets)
+	n := len(sp.nodeCls)
 	if sp.vStar >= 0 {
 		n++
 	}
 	sp.graph = wgraph.New(n)
-	for i, c := range sp.nodeSets {
-		sp.graph.SetCost(i, in.Cost(c))
+	for i, ci := range sp.nodeCls {
+		sp.graph.SetCost(i, cls[ci].Cost)
 	}
-	// Add the edges in sorted endpoint order, not map order: the QK solver
-	// breaks ties by edge order, so map order would make the plan vary
-	// from run to run at a fixed seed.
-	pairs := make([][2]int, 0, len(edges))
-	for k := range edges {
-		pairs = append(pairs, k)
-	}
-	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(a[0]-b[0], a[1]-b[1]) })
-	for _, k := range pairs {
-		sp.graph.AddEdgeMerged(k[0], k[1], edges[k])
+	// Add the edges in sorted endpoint order: the QK solver breaks ties
+	// by edge order. A pair found in several queries becomes one edge
+	// whose weight sums their utilities in query order.
+	for a, es := range pairs {
+		slices.SortStableFunc(es, func(x, y halfEdge) int { return cmp.Compare(x.to, y.to) })
+		for i := 0; i < len(es); {
+			w, j := 0.0, i
+			for ; j < len(es) && es[j].to == es[i].to; j++ {
+				w += es[j].w
+			}
+			sp.graph.AddEdge(a, es[i].to, w)
+			i = j
+		}
 	}
 	if sp.vStar >= 0 {
 		sp.graph.SetCost(sp.vStar, 0)
-		for i := range sp.items {
-			node := sp.nodeIndex[sp.itemSets[i].Key()]
-			sp.graph.AddEdgeMerged(node, sp.vStar, sp.items[i].Value)
+		for i, ci := range sp.itemCls {
+			sp.graph.AddEdge(int(nodeOf[ci]), sp.vStar, sp.items[i].Value)
 		}
 	}
 	return sp
 }
 
-// qkNodes translates a QK solution back to classifier sets, dropping the
-// virtual anchor.
-func (sp *subproblems) qkNodes(nodes []int) []propset.Set {
-	var out []propset.Set
+// qkNodes translates a QK solution back to classifier indices, dropping
+// the virtual anchor.
+func (sp *subproblems) qkNodes(nodes []int) []int32 {
+	var out []int32
 	for _, v := range nodes {
 		if v == sp.vStar {
 			continue
 		}
-		out = append(out, sp.nodeSets[v])
+		out = append(out, sp.nodeCls[v])
 	}
 	return out
 }

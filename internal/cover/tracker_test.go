@@ -161,10 +161,10 @@ func TestMinCoverCostAgainstBrute(t *testing.T) {
 			tr.Add(cls[rng.Intn(len(cls))].Props)
 		}
 		for qi, q := range in.Queries() {
-			got, sets := tr.MinCoverCost(qi, nil)
+			got, cover := tr.MinCover(qi, nil)
 			want := bruteMinCover(in, tr, q.Props)
 			if math.Abs(got-want) > 1e-9 && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
-				t.Fatalf("trial %d query %v: MinCoverCost %v != brute %v",
+				t.Fatalf("trial %d query %v: MinCover %v != brute %v",
 					trial, q.Props, got, want)
 			}
 			if math.IsInf(got, 1) {
@@ -174,9 +174,9 @@ func TestMinCoverCostAgainstBrute(t *testing.T) {
 			// cover the query at the reported cost.
 			probe := tr.Clone()
 			var sum float64
-			for _, s := range sets {
-				sum += in.Cost(s)
-				probe.Add(s)
+			for _, ci := range cover {
+				sum += cls[ci].Cost
+				probe.AddIndex(int(ci))
 			}
 			if !probe.Covered(qi) {
 				t.Fatalf("trial %d: reported cover does not cover %v", trial, q.Props)

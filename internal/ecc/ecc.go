@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cover"
 	"repro/internal/densest"
 	"repro/internal/guard"
@@ -379,72 +380,22 @@ func SolveRand(in *model.Instance, seed int64) Result {
 }
 
 // SolveIG1 is IG1(E): greedy per-query covers until everything coverable
-// is covered; output the best-ratio prefix. Query scores live in a lazily
-// revalidated max-heap (see gmc3.SolveIG1 for the identical pattern).
+// is covered; output the best-ratio prefix. It runs IG1's shared
+// selection loop (core.IG1Loop) without a budget.
 func SolveIG1(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	h := &ratioHeap{}
-	heap.Init(h)
-	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
-
-	refresh := func(qi int) {
-		if t.Covered(qi) {
-			score[qi] = 0
-			return
-		}
-		cost, sets := t.MinCoverCost(qi, nil)
-		covSets[qi] = sets
-		u := in.Queries()[qi].Utility
-		switch {
-		case math.IsInf(cost, 1):
-			score[qi] = 0
-		case cost == 0:
-			score[qi] = math.Inf(1)
-		default:
-			score[qi] = u / cost
-		}
-		if score[qi] > 0 {
-			heap.Push(h, ratioEntry{qi, score[qi]})
-		}
-	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
-
+	cls := in.Classifiers()
 	var order []propset.Set
 	bestLen, bestRatio := 0, 0.0
-	for h.Len() > 0 {
-		e := heap.Pop(h).(ratioEntry)
-		qi := e.i
-		if t.Covered(qi) || score[qi] == 0 {
-			continue
-		}
-		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
-			heap.Push(h, ratioEntry{qi, score[qi]})
-			continue
-		}
-		if len(covSets[qi]) == 0 {
-			score[qi] = 0
-			continue
-		}
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
-			}
-			if t.Add(c) {
-				order = append(order, c)
-			}
-		}
-		for q2 := range touched {
-			refresh(q2)
+	core.IG1Loop(t, false, nil, func(chosen []int32) {
+		for _, ci := range chosen {
+			order = append(order, cls[ci].Props)
 		}
 		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
 			bestRatio, bestLen = r, len(order)
 		}
-	}
+	})
 	return resultOf(in, order[:bestLen], start)
 }
 

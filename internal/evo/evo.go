@@ -317,58 +317,45 @@ func randomFill(rng *rand.Rand, t *cover.Tracker, pool []int, classifiers []mode
 	}
 }
 
-// surrogateGain is the coverage-progress surrogate for adding c to t:
-// Σ_q U(q)·|res(q)∩c|/|res(q)| over the uncovered queries containing c
-// (the same surrogate internal/submod selects by).
-func surrogateGain(t *cover.Tracker, c propset.Set) float64 {
-	in := t.Instance()
-	total := 0.0
-	for _, qi := range t.RelevantQueries(c) {
-		if t.Covered(qi) {
-			continue
-		}
-		res := t.Residual(qi)
-		hit := len(res.Intersect(c))
-		if hit == 0 {
-			continue
-		}
-		total += in.Queries()[qi].Utility * float64(hit) / float64(res.Len())
-	}
-	return total
-}
-
 // crossover breeds a child from the union of both parents' selections:
 // starting from the shared base, it repeatedly adds the affordable
 // parental classifier with the best marginal gain density against the
 // child's current coverage (coverage-aware, rather than uniform gene
-// mixing). Deterministic given the parents.
+// mixing). A gene's gain is the tracker's coverage-progress surrogate
+// ProgressGain, the one internal/submod selects by. Deterministic given
+// the parents.
 func crossover(base, p1, p2 *cover.Tracker) *cover.Tracker {
 	child := base.Clone()
-	in := child.Instance()
-	genes := p1.SelectedSets()
-	for _, s := range p2.SelectedSets() {
-		if !p1.Has(s) {
-			genes = append(genes, s)
+	classifiers := child.Instance().Classifiers()
+	var genes []int
+	for ci := range classifiers {
+		if p1.HasIndex(ci) {
+			genes = append(genes, ci)
+		}
+	}
+	for ci := range classifiers {
+		if p2.HasIndex(ci) && !p1.HasIndex(ci) {
+			genes = append(genes, ci)
 		}
 	}
 	used := make([]bool, len(genes))
 	for {
 		bi, bscore := -1, 0.0
-		for i, s := range genes {
+		for i, ci := range genes {
 			if used[i] {
 				continue
 			}
-			if child.Has(s) {
+			if child.HasIndex(ci) {
 				used[i] = true
 				continue
 			}
-			cost := in.Cost(s)
+			cost := classifiers[ci].Cost
 			if cost > child.Remaining()+1e-9 {
 				// The remaining budget only shrinks: skip permanently.
 				used[i] = true
 				continue
 			}
-			gain := surrogateGain(child, s)
+			gain := child.ProgressGain(ci)
 			if gain <= 0 {
 				used[i] = true
 				continue
@@ -384,7 +371,7 @@ func crossover(base, p1, p2 *cover.Tracker) *cover.Tracker {
 		if bi < 0 {
 			break
 		}
-		child.Add(genes[bi])
+		child.AddIndex(genes[bi])
 		used[bi] = true
 	}
 	return child

@@ -345,68 +345,12 @@ func SolveRand(in *model.Instance, target float64, seed int64) Result {
 }
 
 // SolveIG1 is IG1(G): repeatedly select the cheapest cover of the query
-// with the best utility-to-cost ratio, until the target is reached. Query
-// scores are kept in a lazily revalidated max-heap and refreshed only for
-// the queries a selected classifier can affect.
+// with the best utility-to-cost ratio, until the target is reached. It
+// runs IG1's shared selection loop (core.IG1Loop) without a budget.
 func SolveIG1(in *model.Instance, target float64) Result {
 	start := time.Now()
 	t := cover.New(in)
-	h := &scoreHeap{}
-	heap.Init(h)
-	score := make([]float64, in.NumQueries())
-	covSets := make([][]propset.Set, in.NumQueries())
-
-	refresh := func(qi int) {
-		if t.Covered(qi) {
-			score[qi] = 0
-			return
-		}
-		cost, sets := t.MinCoverCost(qi, nil)
-		covSets[qi] = sets
-		u := in.Queries()[qi].Utility
-		switch {
-		case math.IsInf(cost, 1):
-			score[qi] = 0
-		case cost == 0:
-			score[qi] = math.Inf(1)
-		default:
-			score[qi] = u / cost
-		}
-		if score[qi] > 0 {
-			heap.Push(h, scoreEntry{qi, score[qi]})
-		}
-	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
-
-	steps := 0
-	for h.Len() > 0 && t.Utility() < target-1e-9 {
-		e := heap.Pop(h).(scoreEntry)
-		qi := e.ci
-		if t.Covered(qi) || score[qi] == 0 {
-			continue
-		}
-		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
-			heap.Push(h, scoreEntry{qi, score[qi]})
-			continue
-		}
-		touched := map[int]bool{}
-		for _, c := range covSets[qi] {
-			for _, q2 := range t.RelevantQueries(c) {
-				touched[q2] = true
-			}
-			t.Add(c)
-		}
-		if len(covSets[qi]) == 0 {
-			score[qi] = 0
-			continue
-		}
-		steps++
-		for q2 := range touched {
-			refresh(q2)
-		}
-	}
+	steps := core.IG1Loop(t, false, func() bool { return t.Utility() >= target-1e-9 }, nil)
 	return resultFrom(t, target, steps, start)
 }
 

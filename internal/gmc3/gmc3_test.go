@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -125,5 +127,25 @@ func TestZeroTarget(t *testing.T) {
 	}
 	if res.Cost != 0 {
 		t.Fatalf("zero target should cost nothing, got %v", res.Cost)
+	}
+}
+
+// TestIG1Deterministic solves IG1(G) six times on one Private-like
+// instance. Its queue breaks score ties by query index, so every run
+// must select the same classifiers.
+func TestIG1Deterministic(t *testing.T) {
+	in := dataset.Private(503, 1600)
+	target := 0.3 * in.TotalUtility()
+	var first []string
+	for run := 0; run < 6; run++ {
+		var keys []string
+		for _, c := range SolveIG1(in, target).Solution.Classifiers() {
+			keys = append(keys, c.Props.Key())
+		}
+		if run == 0 {
+			first = keys
+		} else if !slices.Equal(first, keys) {
+			t.Fatalf("run %d: IG1(G) plan differs from run 0 (%d vs %d classifiers)", run, len(keys), len(first))
+		}
 	}
 }

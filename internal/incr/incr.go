@@ -167,21 +167,31 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 		return nil
 	}
 
-	// Stage 2: greedy budget-feasible selection.
+	// Stage 2: greedy budget-feasible selection. A finite-cost set
+	// outside CL covers nothing, so it never scores.
 	t := cover.New(in)
+	idx := make([]int, len(cands))
+	for i, c := range cands {
+		idx[i] = -1
+		if ci, ok := in.ClassifierIndex(c); ok {
+			idx[i] = ci
+		}
+	}
 	used := make([]bool, len(cands))
 	var order []int
 	for {
 		best, bestScore, bestCost := -1, 0.0, 0.0
 		for i, c := range cands {
-			if used[i] {
+			if used[i] || idx[i] < 0 {
 				continue
 			}
-			cost := in.Cost(c)
+			cost := in.Classifiers()[idx[i]].Cost
 			if t.Cost()+cost > in.Budget()+1e-9 {
 				continue
 			}
-			score := progressScore(t, c)
+			// Coverage progress: each uncovered query containing c earns
+			// its utility times the share of its residual c would test.
+			score := t.ProgressGain(idx[i])
 			if score <= 0 {
 				continue
 			}
@@ -200,7 +210,7 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 			break
 		}
 		used[best] = true
-		t.Add(cands[best])
+		t.AddIndex(idx[best])
 		order = append(order, best)
 	}
 
@@ -212,9 +222,9 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 	for j := len(order) - 1; j >= 0; j-- {
 		i := order[j]
 		before := t.Utility()
-		t.Remove(cands[i])
+		t.RemoveIndex(idx[i])
 		if t.Utility() < before-1e-9 {
-			t.Add(cands[i])
+			t.AddIndex(idx[i])
 		} else {
 			kept[i] = false
 		}
@@ -227,30 +237,6 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 		}
 	}
 	return out
-}
-
-// progressScore is the repair greedy's utility proxy for adding c to t:
-// each relevant uncovered query contributes its utility weighted by the
-// fraction of its residual that c would test. Completing a residual earns
-// the full remaining weight, so the score upper-bounds nothing but
-// rewards joint covers that no single candidate completes.
-func progressScore(t *cover.Tracker, c propset.Set) float64 {
-	score := 0.0
-	for _, qi := range t.RelevantQueries(c) {
-		if t.Covered(qi) {
-			continue
-		}
-		res := t.Residual(qi)
-		if res.Empty() {
-			continue
-		}
-		hit := res.Len() - res.Minus(c).Len()
-		if hit == 0 {
-			continue
-		}
-		score += t.Instance().Queries()[qi].Utility * float64(hit) / float64(res.Len())
-	}
-	return score
 }
 
 // Floor is the runtime quality floor every warm path is held to: the

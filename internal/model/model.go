@@ -14,10 +14,11 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/propset"
 )
@@ -57,6 +58,11 @@ type Instance struct {
 	classifiers []Classifier   // enumerated CL, finite-cost only, sorted
 	byKey       map[string]int // classifier key -> index into classifiers
 	maxLen      int            // the paper's length parameter l
+
+	// subsets holds every query's subset table back to back; query qi's
+	// table is subsets[subsetOff[qi]:subsetOff[qi+1]] (see SubsetTable).
+	subsets   []int32
+	subsetOff []int
 }
 
 // Universe returns the property universe of the instance.
@@ -81,6 +87,15 @@ func (in *Instance) MaxQueryLength() int { return in.maxLen }
 // Classifiers returns the enumerated candidate set CL, excluding
 // infinite-cost classifiers. Callers must not modify the returned slice.
 func (in *Instance) Classifiers() []Classifier { return in.classifiers }
+
+// SubsetTable returns query qi's subset → classifier table. Entry m−1
+// is the index into Classifiers of the subset that bit mask m picks
+// from the query's sorted properties (bit i selects Props[i]), or −1
+// when that subset is not in CL because it is priced +Inf. The table has
+// 2^Length − 1 entries. Callers must not modify it.
+func (in *Instance) SubsetTable(qi int) []int32 {
+	return in.subsets[in.subsetOff[qi]:in.subsetOff[qi+1]]
+}
 
 // ClassifierIndex returns the index into Classifiers of the classifier
 // testing exactly props, and whether such a (finite-cost) candidate exists.
@@ -201,7 +216,6 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 		budget:      budget,
 		costs:       b.costs,
 		defaultCost: b.defCost,
-		byKey:       make(map[string]int),
 	}
 	in.queries = make([]Query, 0, len(b.order))
 	for _, s := range b.order {
@@ -214,49 +228,80 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 			in.maxLen = s.Len()
 		}
 	}
-	// Enumerate CL = ∪_q 2^q \ ∅, dropping infinite-cost classifiers.
-	seen := make(map[string]bool)
+	// Enumerate CL = ∪_q 2^q \ ∅, dropping infinite-cost classifiers,
+	// and fill each query's subset table with enumeration positions
+	// (Subsets visits the masks in ascending order).
+	total := 0
+	for _, q := range in.queries {
+		if q.Props.Len() <= 30 { // longer ones make Subsets panic below
+			total += 1<<q.Props.Len() - 1
+		}
+	}
+	in.subsets = make([]int32, 0, total)
+	in.subsetOff = make([]int, 1, len(in.queries)+1)
+	pos := make(map[string]int) // key -> enumeration position, -1 when +Inf
 	for _, q := range in.queries {
 		q.Props.Subsets(func(sub propset.Set) {
 			k := sub.Key()
-			if seen[k] {
-				return
-			}
-			seen[k] = true
-			cost, priced := b.costs[k]
-			if !priced {
-				if b.defCost != nil {
-					cost = b.defCost(sub)
-				} else {
-					cost = 1
+			p, ok := pos[k]
+			if !ok {
+				p = -1
+				cost, priced := b.costs[k]
+				if !priced {
+					if b.defCost != nil {
+						cost = b.defCost(sub)
+					} else {
+						cost = 1
+					}
 				}
+				if !math.IsInf(cost, 1) {
+					if cost < 0 || math.IsNaN(cost) {
+						// Report via sentinel; surfaced after enumeration.
+						cost = math.NaN()
+					}
+					p = len(in.classifiers)
+					in.classifiers = append(in.classifiers, Classifier{Props: sub, Cost: cost})
+				}
+				pos[k] = p
 			}
-			if math.IsInf(cost, 1) {
-				return
-			}
-			if cost < 0 || math.IsNaN(cost) {
-				// Report via sentinel; surfaced after enumeration.
-				cost = math.NaN()
-			}
-			in.classifiers = append(in.classifiers, Classifier{Props: sub, Cost: cost})
+			in.subsets = append(in.subsets, int32(p))
 		})
+		in.subsetOff = append(in.subsetOff, len(in.subsets))
 	}
 	for _, c := range in.classifiers {
 		if math.IsNaN(c.Cost) {
 			return nil, fmt.Errorf("model: invalid (negative or NaN) cost for classifier %v", c.Props)
 		}
 	}
-	// Deterministic order: by length, then lexicographic key.
-	sort.Slice(in.classifiers, func(i, j int) bool {
-		ci, cj := in.classifiers[i], in.classifiers[j]
-		if ci.Props.Len() != cj.Props.Len() {
-			return ci.Props.Len() < cj.Props.Len()
-		}
-		return ci.Props.Key() < cj.Props.Key()
-	})
-	for i, c := range in.classifiers {
-		in.byKey[c.Props.Key()] = i
+	// Deterministic order: by length, then lexicographic key. rank maps
+	// an enumeration position to its sorted index.
+	order := make([]int, len(in.classifiers))
+	for i := range order {
+		order[i] = i
 	}
+	slices.SortFunc(order, func(i, j int) int {
+		return compareSets(in.classifiers[i].Props, in.classifiers[j].Props)
+	})
+	rank := make([]int32, len(order))
+	sorted := make([]Classifier, len(order))
+	for i, p := range order {
+		rank[p] = int32(i)
+		sorted[i] = in.classifiers[p]
+	}
+	in.classifiers = sorted
+	for i, p := range in.subsets {
+		if p >= 0 {
+			in.subsets[i] = rank[p]
+		}
+	}
+	for k, p := range pos {
+		if p < 0 {
+			delete(pos, k)
+		} else {
+			pos[k] = int(rank[p])
+		}
+	}
+	in.byKey = pos
 	return in, nil
 }
 
@@ -268,4 +313,14 @@ func (b *Builder) MustInstance(budget float64) *Instance {
 		panic(err)
 	}
 	return in
+}
+
+// compareSets orders property sets by length, then lexicographically by
+// property ID. Key encodes IDs as fixed-width big-endian bytes, so this
+// is the (Len, Key) order, computed without allocating keys.
+func compareSets(a, b propset.Set) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
+	}
+	return slices.Compare(a, b)
 }

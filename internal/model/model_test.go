@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/propset"
@@ -353,5 +354,89 @@ func BenchmarkCoverageCheck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Covers(qs[i%len(qs)].Props)
+	}
+}
+
+// randomTableInstance draws queries of length 1–6 over 9 properties,
+// pricing some classifiers explicitly (+Inf, zero or positive) and the
+// rest through a default cost.
+func randomTableInstance(rng *rand.Rand) *Instance {
+	b := NewBuilder()
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	for q := 0; q < 4+rng.Intn(10); q++ {
+		var props []string
+		for n := 1 + rng.Intn(6); len(props) < n; {
+			props = append(props, names[rng.Intn(len(names))])
+		}
+		b.AddQuery(float64(1+rng.Intn(5)), props...)
+	}
+	for k := 0; k < 6; k++ {
+		x, y := names[rng.Intn(len(names))], names[rng.Intn(len(names))]
+		b.SetCost([]float64{math.Inf(1), 0, 2.5}[k%3], x, y)
+	}
+	b.SetDefaultCost(func(s propset.Set) float64 { return float64(1 + s.Len()%3) })
+	return b.MustInstance(10)
+}
+
+func TestClassifierOrderMatchesKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		in := randomTableInstance(rng)
+		want := append([]Classifier(nil), in.Classifiers()...)
+		rng.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Props.Len() != want[j].Props.Len() {
+				return want[i].Props.Len() < want[j].Props.Len()
+			}
+			return want[i].Props.Key() < want[j].Props.Key()
+		})
+		sol := NewSolution(in)
+		for i := len(want) - 1; i >= 0; i-- {
+			sol.Add(want[i].Props)
+		}
+		for i, c := range in.Classifiers() {
+			if !c.Props.Equal(want[i].Props) {
+				t.Fatalf("trial %d: classifier %d is %v, (length, key) order has %v", trial, i, c.Props, want[i].Props)
+			}
+			if got := sol.Classifiers()[i].Props; !got.Equal(want[i].Props) {
+				t.Fatalf("trial %d: solution classifier %d is %v, (length, key) order has %v", trial, i, got, want[i].Props)
+			}
+		}
+	}
+}
+
+func TestSubsetTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		in := randomTableInstance(rng)
+		for qi, q := range in.Queries() {
+			table := in.SubsetTable(qi)
+			if len(table) != 1<<q.Length()-1 {
+				t.Fatalf("query %v: table has %d entries, want %d", q.Props, len(table), 1<<q.Length()-1)
+			}
+			m := 0
+			q.Props.Subsets(func(sub propset.Set) {
+				m++
+				var picked propset.Set
+				for i, p := range q.Props {
+					if m>>i&1 == 1 {
+						picked = append(picked, p)
+					}
+				}
+				if !picked.Equal(sub) {
+					t.Fatalf("query %v: subset %d is %v, mask %d picks %v", q.Props, m, sub, m, picked)
+				}
+				ci, ok := in.ClassifierIndex(sub)
+				if !ok {
+					ci = -1
+				}
+				if int(table[m-1]) != ci {
+					t.Fatalf("query %v mask %d (%v): table says %d, index lookup %d", q.Props, m, sub, table[m-1], ci)
+				}
+				if (ci < 0) != math.IsInf(in.Cost(sub), 1) {
+					t.Fatalf("query %v mask %d (%v): table %d but cost %v", q.Props, m, sub, ci, in.Cost(sub))
+				}
+			})
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/propset"
 )
@@ -67,12 +67,7 @@ func (s *Solution) Classifiers() []Classifier {
 	for _, c := range s.selected {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Props.Len() != out[j].Props.Len() {
-			return out[i].Props.Len() < out[j].Props.Len()
-		}
-		return out[i].Props.Key() < out[j].Props.Key()
-	})
+	slices.SortFunc(out, func(a, b Classifier) int { return compareSets(a.Props, b.Props) })
 	return out
 }
 

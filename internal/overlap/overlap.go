@@ -130,12 +130,15 @@ func SolveCtx(ctx context.Context, in *model.Instance, m CostModel) (res Result)
 	if g.Tripped() {
 		return finishGuarded(g, in, m, nil, start)
 	}
-	t := cover.New(in)
+	cin := coverageInstance(in)
+	t := cover.New(cin)
+	cls := cin.Classifiers()
+	queries := in.Queries()
 	budget := in.Budget()
 
 	// Candidate classifiers: all query subsets (the overlap model prices
 	// everything finitely).
-	cands := enumerate(in)
+	cands := candidates(cin)
 	paid := map[propset.ID]bool{}
 	var cost float64
 
@@ -148,17 +151,14 @@ func SolveCtx(ctx context.Context, in *model.Instance, m CostModel) (res Result)
 		}
 		return mc
 	}
-	marginalGain := func(c propset.Set) float64 {
-		if t.Has(c) {
-			return 0
-		}
+	// marginalGain sums the utility of the uncovered queries whose
+	// residual classifier ci completes.
+	marginalGain := func(ci int32) float64 {
 		var gain float64
-		for _, qi := range t.RelevantQueries(c) {
-			if t.Covered(qi) {
-				continue
-			}
-			if t.Residual(qi).SubsetOf(c) {
-				gain += in.Queries()[qi].Utility
+		qs, masks := t.Occurrences(int(ci))
+		for i, qi := range qs {
+			if r := t.ResidualMask(qi); r != 0 && r&^masks[i] == 0 {
+				gain += queries[qi].Utility
 			}
 		}
 		return gain
@@ -168,18 +168,18 @@ func SolveCtx(ctx context.Context, in *model.Instance, m CostModel) (res Result)
 		guard.Inject("overlap.round")
 		bestI, bestScore := -1, 0.0
 		bestMC := 0.0
-		for i, c := range cands {
+		for i, ci := range cands {
 			if g.Check() {
 				break
 			}
-			if t.Has(c) {
+			if t.HasIndex(int(ci)) {
 				continue
 			}
-			gain := marginalGain(c)
+			gain := marginalGain(ci)
 			if gain <= 0 {
 				continue
 			}
-			mc := marginalCost(c)
+			mc := marginalCost(cls[ci].Props)
 			if mc > budget-cost+1e-9 {
 				continue
 			}
@@ -194,8 +194,8 @@ func SolveCtx(ctx context.Context, in *model.Instance, m CostModel) (res Result)
 		if bestI < 0 {
 			break
 		}
-		c := cands[bestI]
-		t.Add(c)
+		c := cls[cands[bestI]].Props
+		t.AddIndex(int(cands[bestI]))
 		sel = append(sel, c)
 		cost += bestMC
 		for _, p := range c {
@@ -229,7 +229,7 @@ func SolveCoverGreedyCtx(ctx context.Context, in *model.Instance, m CostModel) (
 	if g.Tripped() {
 		return finishGuarded(g, in, m, nil, start)
 	}
-	t := cover.New(in)
+	t := cover.New(coverageInstance(in))
 	budget := in.Budget()
 	paid := map[propset.ID]bool{}
 	var cost float64
@@ -376,20 +376,22 @@ func finish(in *model.Instance, m CostModel, sel []propset.Set, start time.Time)
 func SolveRand(in *model.Instance, m CostModel, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
-	t := cover.New(in)
+	cin := coverageInstance(in)
+	t := cover.New(cin)
 	budget := in.Budget()
 	paid := map[propset.ID]bool{}
 	var sel []propset.Set
 	var cost float64
-	pool := enumerate(in)
+	pool := candidates(cin)
 	for len(pool) > 0 {
 		i := rng.Intn(len(pool))
-		c := pool[i]
+		ci := pool[i]
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
-		if t.Has(c) {
+		if t.HasIndex(int(ci)) {
 			continue
 		}
+		c := cin.Classifiers()[ci].Props
 		mc := m.assembly(c)
 		for _, p := range c {
 			if !paid[p] {
@@ -399,7 +401,7 @@ func SolveRand(in *model.Instance, m CostModel, seed int64) Result {
 		if mc > budget-cost+1e-9 {
 			continue
 		}
-		t.Add(c)
+		t.AddIndex(int(ci))
 		sel = append(sel, c)
 		cost += mc
 		for _, p := range c {
@@ -412,7 +414,11 @@ func SolveRand(in *model.Instance, m CostModel, seed int64) Result {
 // BruteForce solves small instances exactly under overlap costs.
 func BruteForce(in *model.Instance, m CostModel) (Result, error) {
 	start := time.Now()
-	cands := enumerate(in)
+	cin := coverageInstance(in)
+	var cands []propset.Set
+	for _, ci := range candidates(cin) {
+		cands = append(cands, cin.Classifiers()[ci].Props)
+	}
 	if len(cands) > 22 {
 		return Result{}, fmt.Errorf("overlap: BruteForce limited to 22 classifiers, instance has %d", len(cands))
 	}
@@ -444,17 +450,32 @@ func BruteForce(in *model.Instance, m CostModel) (Result, error) {
 	return finish(in, m, best, start), nil
 }
 
-// enumerate lists every non-empty subset of every query, deduplicated.
-func enumerate(in *model.Instance) []propset.Set {
-	seen := map[string]bool{}
-	var out []propset.Set
+// coverageInstance is in with every query subset in CL: the same
+// queries (in the same order), utilities and budget, and a finite cost
+// for every classifier. The overlap model prices classifiers itself, so
+// a subset the instance prices +Inf is still a candidate, and coverage is
+// tracked on this instance instead of on in.
+func coverageInstance(in *model.Instance) *model.Instance {
+	b := model.NewBuilderWithUniverse(in.Universe())
 	for _, q := range in.Queries() {
-		q.Props.Subsets(func(sub propset.Set) {
-			if !seen[sub.Key()] {
-				seen[sub.Key()] = true
-				out = append(out, sub.Clone())
+		b.AddQuerySet(q.Props, q.Utility)
+	}
+	return b.MustInstance(in.Budget())
+}
+
+// candidates lists every non-empty subset of every query of a
+// coverageInstance, deduplicated, as classifier indices in order of first
+// appearance (queries in order, each query's subsets by ascending mask).
+func candidates(cin *model.Instance) []int32 {
+	seen := make([]bool, len(cin.Classifiers()))
+	var out []int32
+	for qi := range cin.NumQueries() {
+		for _, ci := range cin.SubsetTable(qi) {
+			if !seen[ci] {
+				seen[ci] = true
+				out = append(out, ci)
 			}
-		})
+		}
 	}
 	return out
 }

@@ -1,11 +1,14 @@
 package overlap
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -172,6 +175,54 @@ func TestOverlapBeatsAdditiveSelection(t *testing.T) {
 	}
 	if wins < 14 {
 		t.Fatalf("sharing realized in only %d/20 trials", wins)
+	}
+}
+
+// TestInfPricedSubsetStaysCandidate solves the README quickstart
+// instance, which prices the wooden+table classifier +Inf. The overlap
+// model ignores the instance's prices, so that pair is a candidate like
+// any other subset, and selecting it must cover "wooden table". A
+// tracker that dropped it left the query uncovered, so the cover greedy
+// picked the same cover forever; the deadline turns such a hang into a
+// failure.
+func TestInfPricedSubsetStaysCandidate(t *testing.T) {
+	b := model.NewBuilder()
+	b.AddQuery(8, "wooden", "table")
+	b.AddQuery(3, "round", "table")
+	b.AddQuery(5, "running", "shoes")
+	b.SetCost(4, "wooden")
+	b.SetCost(2, "table")
+	b.SetCost(3, "round")
+	b.SetCost(6, "running", "shoes")
+	b.SetCost(math.Inf(1), "wooden", "table")
+	b.SetCost(5, "round", "table")
+	b.SetCost(9, "running")
+	b.SetCost(9, "shoes")
+	in := b.MustInstance(9)
+	woodenTable := b.Universe().SetOf("wooden", "table")
+
+	for name, m := range map[string]CostModel{
+		"free":    {},
+		"label=1": {Label: func(propset.ID) float64 { return 1 }},
+	} {
+		for solver, run := range map[string]func(context.Context, *model.Instance, CostModel) Result{
+			"SolveCoverGreedyCtx": SolveCoverGreedyCtx,
+			"SolveCtx":            SolveCtx,
+		} {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			res := run(ctx, in, m)
+			cancel()
+			if res.Status != guard.Complete {
+				t.Fatalf("%s, %s: status %v (%v), want complete", solver, name, res.Status, res.Err)
+			}
+			if !res.Solution.Has(woodenTable) || !res.Solution.Covers(woodenTable) {
+				t.Errorf("%s, %s: wooden table not covered by its pair classifier: %v",
+					solver, name, res.Solution.Classifiers())
+			}
+			if res.Utility != 16 {
+				t.Errorf("%s, %s: utility %v, want 16", solver, name, res.Utility)
+			}
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package propset
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -206,23 +207,32 @@ func (s Set) Clone() Set {
 	return out
 }
 
-// Subsets calls fn for every non-empty subset of s, in an unspecified
-// order. It panics if s has more than 30 properties; queries in this
-// problem domain are tiny, so the exponential enumeration is intentional.
+// Subsets calls fn for every non-empty subset of s, in ascending order of
+// the bit mask that picks it (bit i selects s[i]), so the k-th call
+// receives the subset of mask k. It panics if s has more than 30
+// properties; queries in this problem domain are tiny, so the
+// exponential enumeration is intentional.
 func (s Set) Subsets(fn func(Set)) {
 	if len(s) > 30 {
 		panic(fmt.Sprintf("propset: refusing to enumerate 2^%d subsets", len(s)))
 	}
-	n := len(s)
-	for mask := 1; mask < 1<<n; mask++ {
-		sub := make(Set, 0, n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				sub = append(sub, s[i])
-			}
-		}
-		fn(sub)
+	for m := uint32(1); m < 1<<len(s); m++ {
+		fn(s.Pick(m))
 	}
+}
+
+// Pick returns the subset of s that bit mask m picks: bit i selects s[i].
+func (s Set) Pick(m uint32) Set {
+	if m == 0 {
+		return nil
+	}
+	out := make(Set, 0, bits.OnesCount32(m))
+	for i, id := range s {
+		if m>>i&1 == 1 {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // String renders the set as its ID list, e.g. "{0 3 7}". For named output

@@ -126,9 +126,9 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	// Shared base: free classifiers plus the warm incumbent. Both passes
 	// and the floor start from it, so prior progress is never lost.
 	free := cover.New(in)
-	for _, c := range in.Classifiers() {
+	for ci, c := range in.Classifiers() {
 		if c.Cost == 0 {
-			free.Add(c.Props)
+			free.AddIndex(ci)
 		}
 	}
 	base := free.Clone()
@@ -184,78 +184,20 @@ func adopt(best **cover.Tracker, cand *cover.Tracker) {
 	}
 }
 
-// scorer computes the marginal coverage-utility gain of a candidate
-// classifier against a tracker's current coverage. The relevance lists
-// are resolved once up front (propset.Key allocates), so gain itself is
-// allocation-free — it is the hot path of the lazy queue and is pinned
-// at zero allocs by TestScorerGainAllocs.
-type scorer struct {
-	t           *cover.Tracker
-	queries     []model.Query
-	classifiers []model.Classifier
-	rel         [][]int
-}
-
-func newScorer(t *cover.Tracker) *scorer {
-	in := t.Instance()
-	cl := in.Classifiers()
-	rel := make([][]int, len(cl))
-	for ci := range cl {
-		rel[ci] = t.RelevantQueries(cl[ci].Props)
-	}
-	return &scorer{t: t, queries: in.Queries(), classifiers: cl, rel: rel}
-}
-
-// gain is Σ_q U(q)·|res(q)∩c|/|res(q)| over the uncovered queries
-// containing classifier ci.
-func (sc *scorer) gain(ci int) float64 {
-	c := sc.classifiers[ci].Props
-	total := 0.0
-	for _, qi := range sc.rel[ci] {
-		if sc.t.Covered(qi) {
-			continue
-		}
-		res := sc.t.Residual(qi)
-		hit := countIntersect(res, c)
-		if hit == 0 {
-			continue
-		}
-		total += sc.queries[qi].Utility * float64(hit) / float64(res.Len())
-	}
-	return total
-}
-
-// countIntersect counts |a ∩ b| by sorted-merge without materializing
-// the intersection.
-func countIntersect(a, b propset.Set) int {
-	n, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
-}
-
 // lazyGreedy runs one lazy-evaluation greedy pass on t, selecting by
 // cost-scaled gain (scaled) or raw gain until nothing affordable gains.
-// It returns the number of selections.
+// It returns the number of selections. A candidate's gain is the
+// tracker's ProgressGain, Σ_q U(q)·|res(q)∩c|/|res(q)| over the uncovered
+// queries containing it; TestScorerGainAllocs pins it at zero allocs.
 func lazyGreedy(g *guard.Guard, t *cover.Tracker, scaled bool) int {
-	sc := newScorer(t)
+	classifiers := t.Instance().Classifiers()
 	score := func(ci int) float64 {
-		gain := sc.gain(ci)
+		gain := t.ProgressGain(ci)
 		if gain <= 0 {
 			return 0
 		}
 		if scaled {
-			return gain / sc.classifiers[ci].Cost
+			return gain / classifiers[ci].Cost
 		}
 		return gain
 	}
@@ -264,9 +206,9 @@ func lazyGreedy(g *guard.Guard, t *cover.Tracker, scaled bool) int {
 	// positive initial score enters the queue. The heap never grows past
 	// its initial size (each pop re-pushes at most once), so the loop
 	// below stays allocation-free.
-	h := make(lazyHeap, 0, len(sc.classifiers))
-	for ci := range sc.classifiers {
-		if sc.classifiers[ci].Cost <= 0 || t.Has(sc.classifiers[ci].Props) {
+	h := make(lazyHeap, 0, len(classifiers))
+	for ci := range classifiers {
+		if classifiers[ci].Cost <= 0 || t.HasIndex(ci) {
 			continue
 		}
 		if s := score(ci); s > 0 {
@@ -293,12 +235,11 @@ func lazyGreedy(g *guard.Guard, t *cover.Tracker, scaled bool) int {
 			h.push(centry{e.ci, s})
 			continue
 		}
-		c := sc.classifiers[e.ci]
-		if c.Cost > t.Remaining()+1e-9 {
+		if classifiers[e.ci].Cost > t.Remaining()+1e-9 {
 			// The remaining budget only shrinks: drop permanently.
 			continue
 		}
-		t.Add(c.Props)
+		t.AddIndex(e.ci)
 		steps++
 	}
 	return steps

@@ -204,10 +204,10 @@ func TestDisableGreedyFloor(t *testing.T) {
 	}
 }
 
-// TestScorerGainAllocs pins the lazy-queue hot path at zero
-// allocations: gain must stay a pure merge-count over precomputed
-// relevance lists (propset.Key and any set materialization are banned
-// from it).
+// TestScorerGainAllocs pins the lazy-queue hot path, the tracker's
+// ProgressGain, at zero allocations: it must stay a pure mask count over
+// the precomputed occurrence lists (propset.Key and any set
+// materialization are banned from it).
 func TestScorerGainAllocs(t *testing.T) {
 	in := anytimeInstance(9)
 	tr := cover.New(in)
@@ -219,15 +219,14 @@ func TestScorerGainAllocs(t *testing.T) {
 			tr.Add(cl[i].Props)
 		}
 	}
-	sc := newScorer(tr)
 	var sink float64
 	allocs := testing.AllocsPerRun(200, func() {
 		for ci := 0; ci < len(cl); ci += 3 {
-			sink += sc.gain(ci)
+			sink += tr.ProgressGain(ci)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("scorer.gain allocates %v per run, want 0", allocs)
+		t.Errorf("ProgressGain allocates %v per run, want 0", allocs)
 	}
 	_ = sink
 }
