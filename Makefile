@@ -54,14 +54,16 @@ soak-smoke:
 
 ## fuzz-smoke: a short native-fuzz pass over the instance decode paths
 ## (FuzzRead and the server-facing FuzzFromFormat), the durable
-## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing), and
-## the coverage tracker against its string-keyed oracle (FuzzTracker).
+## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing), the
+## coverage tracker against its string-keyed oracle (FuzzTracker), and
+## the MC3 greedy against its string-keyed oracle (FuzzMC3).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzJobRecord -fuzztime 10s ./internal/jobs/
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/cover/
+	$(GO) test -run '^$$' -fuzz FuzzMC3 -fuzztime 10s ./internal/mc3/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
 ## detector — a bccgate gateway over two in-process backends, checking
@@ -99,7 +101,7 @@ eval-smoke:
 	$(GO) run ./cmd/bcceval
 
 ## ci: what .github/workflows/ci.yml runs — build (including the server,
-## gateway, load-driver and eval binaries), tests, vet, the race
+## gateway, load-driver and eval binaries), tests, vet, a gofmt gate, the race
 ## detector over the concurrent/guarded packages and the
 ## serving/resilience stack, the chaos soak, the cluster smoke, the
 ## durable-jobs smoke, the continuous-pipeline smoke, a fuzz smoke, the
@@ -114,6 +116,7 @@ ci:
 	$(GO) build -o /dev/null ./cmd/bcceval
 	$(GO) test -shuffle=on ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
 	$(MAKE) soak-smoke

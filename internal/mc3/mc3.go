@@ -20,8 +20,13 @@
 package mc3
 
 import (
+	"cmp"
 	"container/heap"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/guard"
@@ -31,7 +36,8 @@ import (
 
 // Input is an MC3 problem: queries to cover and the classifier cost
 // oracle. Cost must be defined (possibly +Inf) for every non-empty subset
-// of every query; +Inf excludes a classifier.
+// of every query, and give a subset the same price on every call; +Inf
+// excludes a classifier.
 type Input struct {
 	Queries []propset.Set
 	Cost    func(propset.Set) float64
@@ -39,7 +45,7 @@ type Input struct {
 
 // Output is a solved MC3 instance.
 type Output struct {
-	// Classifiers is the selected set, sorted by (length, key).
+	// Classifiers is the selected set, sorted by (length, property IDs).
 	Classifiers []propset.Set
 	// Cost is the total construction cost of Classifiers.
 	Cost float64
@@ -168,7 +174,11 @@ func SolveExactL2(inp Input) Output {
 			add(pq.q)
 		}
 	}
-	return finish(inp, out, chosen)
+	kept := make([]priced, 0, len(chosen))
+	for _, c := range chosen {
+		kept = append(kept, priced{c, inp.Cost(c)})
+	}
+	return finish(out, kept)
 }
 
 // SolveGreedy covers the queries by weighted set-cover greedy over
@@ -176,206 +186,230 @@ func SolveExactL2(inp Input) Output {
 // cost per newly covered slot; a reverse-delete pass then removes
 // redundant classifiers.
 func SolveGreedy(inp Input) Output {
-	var out Output
-
-	type queryState struct {
-		q       propset.Set
-		covered propset.Set
-	}
-	var states []queryState
-	seen := map[string]bool{}
-	for _, q := range inp.Queries {
-		if q.Len() == 0 || seen[q.Key()] {
-			continue
-		}
-		seen[q.Key()] = true
-		states = append(states, queryState{q: q})
-	}
-
-	// Candidate classifiers: all finite-cost subsets of queries, indexed
-	// by the queries they are relevant to.
-	type candidate struct {
-		c       propset.Set
-		cost    float64
-		queries []int
-	}
-	candIdx := map[string]int{}
-	var cands []candidate
-	for qi, st := range states {
-		st.q.Subsets(func(sub propset.Set) {
-			k := sub.Key()
-			if i, ok := candIdx[k]; ok {
-				cands[i].queries = append(cands[i].queries, qi)
-				return
-			}
-			cost := inp.Cost(sub)
-			if math.IsInf(cost, 1) {
-				return
-			}
-			candIdx[k] = len(cands)
-			cands = append(cands, candidate{c: sub.Clone(), cost: cost, queries: []int{qi}})
-		})
-	}
-
-	// Queries with no finite path to full coverage: detect by checking
-	// whether the union of finite-cost subsets equals the query.
-	coverable := make([]bool, len(states))
-	for qi, st := range states {
-		var acc propset.Set
-		st.q.Subsets(func(sub propset.Set) {
-			if _, ok := candIdx[sub.Key()]; ok {
-				acc = acc.Union(sub)
-			}
-		})
-		if acc.Equal(st.q) {
-			coverable[qi] = true
-		} else {
-			out.Uncovered = append(out.Uncovered, st.q)
-		}
-	}
-
-	chosen := map[string]propset.Set{}
+	gc := newGreedyCover(inp)
+	cands := gc.cands
+	covered := make([]uint32, len(gc.queries))
 	remainingSlots := 0
-	for qi := range states {
-		if coverable[qi] {
-			remainingSlots += states[qi].q.Len()
+	for qi, q := range gc.queries {
+		if gc.coverable[qi] {
+			remainingSlots += q.Len()
 		}
 	}
-	// Lazy-greedy: a candidate's cost-per-new-slot only grows as coverage
-	// accumulates, so a stale heap entry can be revalidated on pop.
 	newSlotsOf := func(i int) int {
 		n := 0
-		for _, qi := range cands[i].queries {
-			if coverable[qi] {
-				n += cands[i].c.Minus(states[qi].covered).Len()
+		for _, o := range cands[i].occ {
+			if gc.coverable[o.q] {
+				n += bits.OnesCount32(o.mask &^ covered[o.q])
 			}
 		}
 		return n
 	}
-	scoreOf := func(i int, slots int) float64 {
-		if slots == 0 {
-			return math.Inf(1)
-		}
-		return cands[i].cost / float64(slots)
-	}
+	// Lazy-greedy: a candidate's cost-per-new-slot only grows as coverage
+	// accumulates, so a stale heap entry can be revalidated on pop.
+	chosen := make([]bool, len(cands))
 	h := &candHeap{}
 	heap.Init(h)
 	for i := range cands {
 		if slots := newSlotsOf(i); slots > 0 {
-			heap.Push(h, candEntry{i, scoreOf(i, slots)})
+			heap.Push(h, candEntry{i, cands[i].cost / float64(slots)})
 		}
 	}
 	for remainingSlots > 0 && h.Len() > 0 {
 		e := heap.Pop(h).(candEntry)
-		if _, ok := chosen[cands[e.i].c.Key()]; ok {
+		if chosen[e.i] {
 			continue
 		}
 		slots := newSlotsOf(e.i)
 		if slots == 0 {
 			continue
 		}
-		if cur := scoreOf(e.i, slots); cur > e.score+1e-12 {
+		if cur := cands[e.i].cost / float64(slots); cur > e.score+1e-12 {
 			heap.Push(h, candEntry{e.i, cur})
 			continue
 		}
-		cand := cands[e.i]
-		chosen[cand.c.Key()] = cand.c
-		for _, qi := range cand.queries {
-			if !coverable[qi] {
-				continue
+		chosen[e.i] = true
+		for _, o := range cands[e.i].occ {
+			if gc.coverable[o.q] {
+				remainingSlots -= bits.OnesCount32(o.mask &^ covered[o.q])
+				covered[o.q] |= o.mask
 			}
-			gained := cand.c.Minus(states[qi].covered).Len()
-			states[qi].covered = states[qi].covered.Union(cand.c)
-			remainingSlots -= gained
 		}
 	}
-
-	out = finish(inp, out, chosen)
-	return reverseDelete(inp, out)
+	return gc.reverseDelete(chosen)
 }
 
-// reverseDelete drops classifiers (costliest first) whose removal keeps
-// every non-uncovered query covered. Each removal trial only revisits the
-// queries the classifier is relevant to.
-func reverseDelete(inp Input, out Output) Output {
-	uncovered := map[string]bool{}
-	for _, q := range out.Uncovered {
-		uncovered[q.Key()] = true
-	}
-	classifiers := append([]propset.Set(nil), out.Classifiers...)
-	sort.Slice(classifiers, func(i, j int) bool {
-		return inp.Cost(classifiers[i]) > inp.Cost(classifiers[j])
-	})
-	have := map[string]bool{}
-	for _, c := range classifiers {
-		have[c.Key()] = true
-	}
-	// Index: classifier key → queries it is a subset of.
-	relq := map[string][]propset.Set{}
-	seenQ := map[string]bool{}
+// greedyCover is SolveGreedy's index-native view of its input. queries
+// are the distinct non-empty input queries in input order. A subset of a
+// query is named by the bit mask over the query's sorted properties that
+// picks it (bit i picks q[i]), and tables[qi][m-1] is the index in cands
+// of the subset that mask m picks from queries[qi], or −1 when it is
+// priced +Inf.
+type greedyCover struct {
+	queries   []propset.Set
+	tables    [][]int32
+	cands     []candidate
+	coverable []bool
+	uncovered []propset.Set
+}
+
+// candidate is a finite-cost classifier together with its occurrences:
+// the queries it is a subset of, in query order, and its mask in each.
+type candidate struct {
+	priced
+	occ []occurrence
+}
+
+type occurrence struct {
+	q    int32
+	mask uint32
+}
+
+// priced is a classifier with its construction cost.
+type priced struct {
+	set  propset.Set
+	cost float64
+}
+
+// newGreedyCover deduplicates the queries and builds the candidates and
+// subset tables. Candidates appear in the order the string-keyed greedy
+// found them: queries in order, masks ascending, first appearance wins.
+// A subset priced +Inf records no candidate, so a later query prices it
+// again. Lookups go through one reused key buffer, so only a new query
+// or candidate allocates a key.
+func newGreedyCover(inp Input) *greedyCover {
+	gc := &greedyCover{}
+	var key []byte
+	seen := map[string]bool{}
+	size := 0
 	for _, q := range inp.Queries {
-		if q.Len() == 0 || uncovered[q.Key()] || seenQ[q.Key()] {
+		if q.Len() > 30 {
+			panic(fmt.Sprintf("mc3: refusing to enumerate 2^%d subsets", q.Len()))
+		}
+		if q.Len() == 0 {
 			continue
 		}
-		seenQ[q.Key()] = true
-		q.Subsets(func(sub propset.Set) {
-			k := sub.Key()
-			if have[k] {
-				relq[k] = append(relq[k], q)
-			}
-		})
-	}
-	covers := func(q propset.Set) bool {
-		var acc propset.Set
-		q.Subsets(func(sub propset.Set) {
-			if have[sub.Key()] {
-				acc = acc.Union(sub)
-			}
-		})
-		return acc.Equal(q)
-	}
-	for _, c := range classifiers {
-		if inp.Cost(c) == 0 {
+		key = appendKey(key[:0], q, 1<<q.Len()-1)
+		if seen[string(key)] {
 			continue
 		}
-		k := c.Key()
-		have[k] = false
-		ok := true
-		for _, q := range relq[k] {
-			if !covers(q) {
-				ok = false
+		seen[string(key)] = true
+		gc.queries = append(gc.queries, q)
+		size += 1<<q.Len() - 1
+	}
+	flat := make([]int32, size)
+	gc.tables = make([][]int32, len(gc.queries))
+	gc.coverable = make([]bool, len(gc.queries))
+	candIdx := map[string]int32{}
+	for qi, q := range gc.queries {
+		full := uint32(1)<<q.Len() - 1
+		table := flat[:full:full]
+		flat = flat[full:]
+		gc.tables[qi] = table
+		var reach uint32
+		for m := uint32(1); m <= full; m++ {
+			key = appendKey(key[:0], q, m)
+			i, ok := candIdx[string(key)]
+			if ok {
+				gc.cands[i].occ = append(gc.cands[i].occ, occurrence{int32(qi), m})
+			} else {
+				sub := q.Pick(m)
+				cost := inp.Cost(sub)
+				if math.IsInf(cost, 1) {
+					table[m-1] = -1
+					continue
+				}
+				i = int32(len(gc.cands))
+				candIdx[string(key)] = i
+				gc.cands = append(gc.cands, candidate{priced{sub, cost}, []occurrence{{int32(qi), m}}})
+			}
+			table[m-1] = i
+			reach |= m
+		}
+		// A query no combination of finite-cost subsets covers is left
+		// out of the greedy and reported.
+		if reach == full {
+			gc.coverable[qi] = true
+		} else {
+			gc.uncovered = append(gc.uncovered, q)
+		}
+	}
+	return gc
+}
+
+// appendKey appends to buf a map key for the subset of q that mask m
+// picks: four bytes per picked property.
+func appendKey(buf []byte, q propset.Set, m uint32) []byte {
+	for i, id := range q {
+		if m>>i&1 == 1 {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(id))
+		}
+	}
+	return buf
+}
+
+// covers reports whether the chosen candidates cover query qi.
+func (gc *greedyCover) covers(qi int32, chosen []bool) bool {
+	var acc uint32
+	for m, i := range gc.tables[qi] {
+		if i >= 0 && chosen[i] {
+			acc |= uint32(m + 1)
+		}
+	}
+	return acc == uint32(len(gc.tables[qi]))
+}
+
+// reverseDelete drops chosen classifiers (costliest first) whose removal
+// keeps every coverable query covered, and returns the survivors. Each
+// removal trial only revisits the queries the classifier occurs in.
+// Classifiers are tried in the order sort.Slice makes of the (length,
+// IDs) list under the cost-descending comparator, which is the order the
+// string-keyed version tried them in, equal costs included.
+func (gc *greedyCover) reverseDelete(chosen []bool) Output {
+	var sel []int
+	for i, ok := range chosen {
+		if ok {
+			sel = append(sel, i)
+		}
+	}
+	slices.SortFunc(sel, func(a, b int) int { return byShape(gc.cands[a].set, gc.cands[b].set) })
+	byCost := slices.Clone(sel)
+	sort.Slice(byCost, func(a, b int) bool { return gc.cands[byCost[a]].cost > gc.cands[byCost[b]].cost })
+	for _, i := range byCost {
+		if gc.cands[i].cost == 0 {
+			continue
+		}
+		chosen[i] = false
+		for _, o := range gc.cands[i].occ {
+			if gc.coverable[o.q] && !gc.covers(o.q, chosen) {
+				chosen[i] = true
 				break
 			}
 		}
-		if !ok {
-			have[k] = true
+	}
+	var kept []priced
+	for _, i := range sel {
+		if chosen[i] {
+			kept = append(kept, gc.cands[i].priced)
 		}
 	}
-	chosen := map[string]propset.Set{}
-	for _, c := range classifiers {
-		if have[c.Key()] {
-			chosen[c.Key()] = c
-		}
-	}
-	return finish(inp, Output{Uncovered: out.Uncovered}, chosen)
+	return finish(Output{Uncovered: gc.uncovered}, kept)
 }
 
-// finish assembles a deterministic Output from the chosen set.
-func finish(inp Input, out Output, chosen map[string]propset.Set) Output {
-	out.Classifiers = out.Classifiers[:0]
-	out.Cost = 0
+// finish sets out's classifiers to chosen sorted by (length, IDs) and its
+// cost to their total, summed in that order so that equal plans report
+// bit-identical costs whatever order they were collected in.
+func finish(out Output, chosen []priced) Output {
+	slices.SortFunc(chosen, func(a, b priced) int { return byShape(a.set, b.set) })
 	for _, c := range chosen {
-		out.Classifiers = append(out.Classifiers, c)
-		out.Cost += inp.Cost(c)
+		out.Classifiers = append(out.Classifiers, c.set)
+		out.Cost += c.cost
 	}
-	sort.Slice(out.Classifiers, func(i, j int) bool {
-		a, b := out.Classifiers[i], out.Classifiers[j]
-		if a.Len() != b.Len() {
-			return a.Len() < b.Len()
-		}
-		return a.Key() < b.Key()
-	})
 	return out
+}
+
+// byShape orders classifiers by length, then by property IDs.
+func byShape(a, b propset.Set) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), slices.Compare(a, b))
 }
 
 // Covers reports whether the output's classifier set covers q.

@@ -14,7 +14,8 @@ func (a candidate) before(b candidate) bool {
 }
 
 // maxHeap is a binary max-heap of candidates in canonical order, shared by
-// the greedy completion (greedyGrow) and the HkS fill (greedyFill).
+// the greedy completion (greedyGrow), the HkS fill (greedyFill) and the
+// copy refill (refill).
 // container/heap would box every pushed and popped entry into an
 // interface; this one allocates nothing once its backing slice has room.
 // Because the order is total, each pop returns the best entry of the

@@ -1,11 +1,9 @@
 package qk
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 
@@ -82,7 +80,8 @@ func SolveHeuristic(g *wgraph.Graph, budget float64, opts Options) Result {
 func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts Options) (res Result) {
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
-	best := SolveGreedy(g, budget) // safety floor
+	order := costOrder(g)
+	best := solveGreedy(g, order, budget) // safety floor
 	res = best
 
 	if n == 0 || g.NumEdges() == 0 || budget < 0 {
@@ -111,7 +110,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		affordable = affordable[:8]
 	}
 	for _, e := range affordable {
-		best = better(best, resultFor(g, greedyComplete(gu, g, budget, []int{e.U, e.V})))
+		best = better(best, resultFor(g, greedyGrow(gu, g, order, budget, []int{e.U, e.V})))
 	}
 
 	// Preprocessing: free nodes are always selected; nodes above the
@@ -159,7 +158,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	}
 	// Case: no expensive node in the optimum.
 	if !gu.Tripped() {
-		best = better(best, coreSolve(gu, g, budget, budget, isExpensive, zero, opts))
+		best = better(best, coreSolve(gu, g, order, budget, budget, isExpensive, zero, opts))
 	}
 	// Case: exactly one expensive node — preselect it, reduce the budget
 	// for the quadratic part (the full budget still applies to the final
@@ -172,7 +171,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		copy(excl, isExpensive)
 		excl[a] = false
 		pre := append(append([]int(nil), zero...), a)
-		best = better(best, coreSolve(gu, g, budget-g.Cost(a), budget, excl, pre, opts))
+		best = better(best, coreSolve(gu, g, order, budget-g.Cost(a), budget, excl, pre, opts))
 	}
 	res = best
 	return res
@@ -181,8 +180,9 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 // coreSolve runs the bipartition/blow-up/HkS pipeline on the instance with
 // the given exclusions and preselected (treated-as-free) nodes. budget
 // bounds the quadratic part; fullBudget (≥ budget plus the preselected
-// cost) bounds the final completed solutions.
-func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
+// cost) bounds the final completed solutions. order is g's cost order
+// (costOrder), shared by every completion.
+func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
 	n := g.NumNodes()
 	preMark := make([]bool, n)
 	for _, v := range pre {
@@ -205,7 +205,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, exc
 		anyActive = true
 	}
 	if !anyActive || budget <= 0 {
-		return resultFor(g, greedyComplete(gu, g, fullBudget, pre))
+		return resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
 	}
 
 	// Integerize costs: c′(v) = max(1, ⌈c(v)·f⌉) with f chosen so that
@@ -243,7 +243,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, exc
 	}
 	intBudget := int(math.Floor(budget*f + 1e-12))
 	if intBudget < 2 {
-		return resultFor(g, greedyComplete(gu, g, fullBudget, pre))
+		return resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
 	}
 
 	// Per-node linear bonus: edges into preselected nodes contribute
@@ -260,7 +260,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, exc
 		})
 	}
 
-	best := resultFor(g, greedyComplete(gu, g, fullBudget, pre))
+	best := resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
 
 	// The paper runs the log n bipartition iterations in parallel; each
 	// iteration only reads the shared graph and derives its own RNG, so a
@@ -305,7 +305,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, exc
 			var iterBest Result
 			for _, cand := range st.finalize(intBudget) {
 				nodes := append(append([]int(nil), pre...), cand...)
-				nodes = greedyComplete(gu, g, fullBudget, nodes)
+				nodes = greedyGrow(gu, g, order, fullBudget, nodes)
 				iterBest = better(iterBest, resultFor(g, nodes))
 			}
 			results[iter] = iterBest
@@ -316,12 +316,6 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, budget, fullBudget float64, exc
 		best = better(best, r)
 	}
 	return best
-}
-
-// greedyComplete spends any leftover budget on the best marginal
-// weight-per-cost additions (heap-based; see greedyGrow).
-func greedyComplete(gu *guard.Guard, g *wgraph.Graph, budget float64, nodes []int) []int {
-	return greedyGrow(gu, g, budget, nodes)
 }
 
 // countState is the implicit blow-up graph Ĝ: every active node v stands
@@ -512,35 +506,35 @@ func (st *countState) localSearch(gu *guard.Guard, rounds int) {
 // moves do not change any copy's degree). For a fixed opposite side this
 // is the best achievable arrangement; swap_test.go compares it against a
 // literal implementation of the paper's phases.
+//
+// The side's nodes go into a maxHeap keyed by per-copy degree, whose
+// canonical order (degree desc, node asc) is the total order a full sort
+// would use, so popping until the units run out fills the same nodes as
+// the sorted prefix; a side holds far more nodes than its units fill.
+// Zeroing the side first does not move any of its degrees: a copy's
+// degree counts only copies on the opposite side.
 func (st *countState) refill(left bool) {
-	n := len(st.s)
-	units := 0
-	var nodes []int
-	for v := 0; v < n; v++ {
+	units, nodes := 0, 0
+	for v := range st.s {
 		if st.active[v] && st.side[v] == left {
 			units += st.s[v]
 			st.s[v] = 0
-			nodes = append(nodes, v)
+			nodes++
 		}
 	}
 	if units == 0 {
 		return
 	}
-	deg := make([]float64, n)
-	for _, v := range nodes {
-		deg[v] = st.perCopyDeg(v)
+	h := make(maxHeap, 0, nodes)
+	for v := range st.s {
+		if st.active[v] && st.side[v] == left {
+			h = append(h, candidate{v, st.perCopyDeg(v)})
+		}
 	}
-	slices.SortFunc(nodes, func(a, b int) int {
-		return cmp.Or(cmp.Compare(deg[b], deg[a]), a-b)
-	})
-	for _, v := range nodes {
-		if units == 0 {
-			break
-		}
-		take := st.c[v]
-		if take > units {
-			take = units
-		}
+	h.init()
+	for units > 0 && len(h) > 0 {
+		v := h.pop().v
+		take := min(st.c[v], units)
 		st.s[v] = take
 		units -= take
 	}

@@ -23,7 +23,9 @@
 package qk
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,13 +65,34 @@ func better(a, b Result) Result {
 // baseline reported in the experiments and the safety floor inside
 // SolveHeuristic.
 func SolveGreedy(g *wgraph.Graph, budget float64) Result {
+	return solveGreedy(g, costOrder(g), budget)
+}
+
+// solveGreedy is SolveGreedy with g's cost order (costOrder) supplied by
+// a caller that shares it with other completions on the same graph.
+func solveGreedy(g *wgraph.Graph, order []int, budget float64) Result {
 	var free []int
 	for v := 0; v < g.NumNodes(); v++ {
 		if g.Cost(v) == 0 {
 			free = append(free, v)
 		}
 	}
-	return resultFor(g, greedyGrow(nil, g, budget, free))
+	return resultFor(g, greedyGrow(nil, g, order, budget, free))
+}
+
+// costOrder returns g's nodes by ascending cost, ties to the lower node:
+// the order in which greedyGrow looks for the cheapest node it may still
+// add. Solvers build it once per graph and share it read-only with every
+// completion and restart worker.
+func costOrder(g *wgraph.Graph) []int {
+	order := make([]int, g.NumNodes())
+	for v := range order {
+		order[v] = v
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(g.Cost(a), g.Cost(b)), cmp.Compare(a, b))
+	})
+	return order
 }
 
 // greedyGrow extends start (taken as already selected, its cost counted)
@@ -81,7 +104,13 @@ func SolveGreedy(g *wgraph.Graph, budget float64) Result {
 // node that does not fit is never pushed and is dropped on pop once it
 // stops fitting; under a total order that cannot change which fitting
 // node pops next (DESIGN.md §5).
-func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) []int {
+//
+// order is g's cost order (costOrder). The loop stops as soon as the
+// cheapest node that is unselected and has a positive score no longer
+// fits: the budget only shrinks, and with non-negative weights a node
+// scores 0 only when it has no positive-weight edge, so it never gains a
+// score; no later pop could add a node.
+func greedyGrow(gu *guard.Guard, g *wgraph.Graph, order []int, budget float64, start []int) []int {
 	s := growers.Get().(*grower)
 	n := g.NumNodes()
 	in := reset(&s.in, n)
@@ -130,8 +159,12 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, budget float64, start []int) [
 		}
 	}
 	h.init()
+	next := 0 // order[next:] holds every node that may still be added
 	for len(h) > 0 {
-		if gu.Check() {
+		for next < len(order) && (in[order[next]] || score(order[next]) == 0) {
+			next++
+		}
+		if next == len(order) || !fits(order[next]) || gu.Check() {
 			break
 		}
 		e := h.pop()

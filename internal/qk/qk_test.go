@@ -206,18 +206,28 @@ func referenceGrow(g *wgraph.Graph, budget float64, start []int) []int {
 	}
 }
 
-// tieQK is a random graph built to stress the greedy's tie, stale-entry
-// and filter paths: small integer costs (zero included), integer weights
-// (zero included) of which about a quarter are scaled up 8×, so a node's
-// first real gain can fall below its bootstrap score, and about one node
-// in eight isolated.
+// tieQK is a random graph built to stress the greedy's tie, stale-entry,
+// filter and early-exit paths: small integer costs (zero included),
+// integer weights (zero included) of which about a quarter are scaled up
+// 8×, so a node's first real gain can fall below its bootstrap score, and
+// about one node in eight isolated, half of those costing 0 or 1 so that
+// score-0 nodes lead the cost order. In about a quarter of the graphs the
+// costs are tenths, whose sums round, so the fit test's tolerance decides.
 func tieQK(rng *rand.Rand) *wgraph.Graph {
 	n := 1 + rng.Intn(40)
 	g := wgraph.New(n)
 	isolated := make([]bool, n)
+	scale := 1.0
+	if rng.Intn(4) == 0 {
+		scale = 0.1
+	}
 	for v := 0; v < n; v++ {
-		g.SetCost(v, float64(rng.Intn(7)))
+		c := rng.Intn(7)
 		isolated[v] = rng.Intn(8) == 0
+		if isolated[v] && rng.Intn(2) == 0 {
+			c = rng.Intn(2)
+		}
+		g.SetCost(v, float64(c)*scale)
 	}
 	p := 0.05 + 0.4*rng.Float64()
 	for u := 0; u < n; u++ {
@@ -236,24 +246,34 @@ func tieQK(rng *rand.Rand) *wgraph.Graph {
 
 // TestGreedyGrowMatchesReference requires the heap kernel to select the
 // same nodes in the same order as the heap-free oracle, on random graphs
-// at budgets from 0 to the total cost, with and without a start set.
+// at budgets from 0 to the total cost, with and without a start set. Two
+// budgets land exactly on a cost boundary: the summed cost of a random
+// node subset, and that of a prefix of the cost order.
 func TestGreedyGrowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		g := tieQK(rng)
 		n := g.NumNodes()
-		total := 0.0
-		for v := 0; v < n; v++ {
+		order := costOrder(g)
+		total, subset, prefix := 0.0, 0.0, 0.0
+		cut := rng.Intn(n + 1)
+		for i, v := range order {
 			total += g.Cost(v)
+			if rng.Intn(2) == 0 {
+				subset += g.Cost(v)
+			}
+			if i < cut {
+				prefix += g.Cost(v)
+			}
 		}
-		budgets := []float64{0, total, float64(rng.Intn(int(total) + 1)), rng.Float64() * total}
+		budgets := []float64{0, total, float64(rng.Intn(int(total) + 1)), rng.Float64() * total, subset, prefix}
 		var start []int
 		for i := rng.Intn(4); i > 0; i-- {
 			start = append(start, rng.Intn(n)) // repeats allowed
 		}
 		for _, b := range budgets {
 			for _, st := range [][]int{nil, start} {
-				got := greedyGrow(nil, g, b, st)
+				got := greedyGrow(nil, g, order, b, st)
 				want := referenceGrow(g, b, st)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d (n=%d, m=%d) budget %v start %v:\n kernel %v\n oracle %v",

@@ -1,7 +1,9 @@
 package qk
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/wgraph"
@@ -173,5 +175,96 @@ func TestRefillComparableToLiteralSwap(t *testing.T) {
 	}
 	if refTot < litTot-1e-9 {
 		t.Fatalf("refill aggregate weight %v below literal phases %v", refTot, litTot)
+	}
+}
+
+// sortRefill is refill as it was before it popped a heap: it sorts every
+// node of the side by (per-copy degree desc, node asc) and fills the
+// sorted prefix. It is the oracle for TestRefillMatchesSort.
+func sortRefill(st *countState, left bool) {
+	n := len(st.s)
+	units := 0
+	var nodes []int
+	for v := 0; v < n; v++ {
+		if st.active[v] && st.side[v] == left {
+			units += st.s[v]
+			st.s[v] = 0
+			nodes = append(nodes, v)
+		}
+	}
+	if units == 0 {
+		return
+	}
+	deg := make([]float64, n)
+	for _, v := range nodes {
+		deg[v] = st.perCopyDeg(v)
+	}
+	slices.SortFunc(nodes, func(a, b int) int {
+		return cmp.Or(cmp.Compare(deg[b], deg[a]), a-b)
+	})
+	for _, v := range nodes {
+		if units == 0 {
+			break
+		}
+		take := st.c[v]
+		if take > units {
+			take = units
+		}
+		st.s[v] = take
+		units -= take
+	}
+}
+
+// TestRefillMatchesSort requires the heap refill to leave the same copy
+// counts as the sort-based one on random count states: tie-heavy weights
+// (0, 1 or 2, scaled by copy counts drawn from 1–3), nodes with no cross
+// edge, inactive nodes, bonuses, sides with zero units, and sides holding
+// more units than their nodes have copies.
+func TestRefillMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(30)
+		g := wgraph.New(n)
+		cint := make([]int, n)
+		active := make([]bool, n)
+		side := make([]bool, n)
+		bonus := make([]float64, n)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, 1)
+			cint[v] = 1 + rng.Intn(3)
+			active[v] = rng.Intn(8) != 0
+			side[v] = rng.Intn(2) == 0
+			if rng.Intn(4) == 0 {
+				bonus[v] = float64(rng.Intn(3))
+			}
+		}
+		p := rng.Float64() * 0.6
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < p {
+					g.AddEdge(u, v, float64(rng.Intn(3)))
+				}
+			}
+		}
+		st := newCountState(g, active, side, cint, bonus)
+		zeroSide, overfull := rng.Intn(5) == 0, rng.Intn(5) == 0
+		for v := 0; v < n; v++ {
+			switch {
+			case zeroSide && side[v]:
+			case overfull:
+				st.s[v] = rng.Intn(cint[v] + 3)
+			default:
+				st.s[v] = rng.Intn(cint[v] + 1)
+			}
+		}
+		ref := newCountState(g, active, side, cint, bonus)
+		copy(ref.s, st.s)
+		for _, left := range []bool{true, false} {
+			st.refill(left)
+			sortRefill(ref, left)
+			if !slices.Equal(st.s, ref.s) {
+				t.Fatalf("trial %d side %v: heap refill %v, sort refill %v", trial, left, st.s, ref.s)
+			}
+		}
 	}
 }

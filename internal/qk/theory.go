@@ -23,7 +23,8 @@ import (
 func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
-	best := SolveGreedy(g, budget)
+	order := costOrder(g)
+	best := solveGreedy(g, order, budget)
 	if n == 0 || g.NumEdges() == 0 || budget <= 0 {
 		return best
 	}
@@ -74,7 +75,7 @@ func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 		}
 		cheap = kept
 	}
-	best = better(best, resultFor(g, greedyComplete(nil, g, budget, cheap)))
+	best = better(best, resultFor(g, greedyGrow(nil, g, order, budget, cheap)))
 
 	classOf := func(x float64) int {
 		if x <= 1 {
@@ -114,7 +115,7 @@ func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 			cand = solveBipartiteClass(g, edges, budget, opts)
 		}
 		if len(cand) > 0 {
-			cand = greedyComplete(nil, g, budget, cand)
+			cand = greedyGrow(nil, g, order, budget, cand)
 			best = better(best, resultFor(g, cand))
 		}
 	}
