@@ -118,7 +118,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

@@ -177,8 +177,20 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	opts.QK.Trace = rec
 
 	var t *cover.Tracker
+	var floor *floorRun
 	iterations, pruned := 0, 0
 	finish := func() Result {
+		// Every path out of SolveCtx, the recover below included, comes
+		// through here, so no floor goroutine outlives the call.
+		if f := floor; f != nil {
+			floor = nil
+			<-f.done
+			iterations += f.iterations
+			if f.t != nil && (f.t.Utility() > t.Utility() ||
+				(f.t.Utility() == t.Utility() && f.t.Cost() < t.Cost())) {
+				t = f.t
+			}
+		}
 		var r Result
 		if t != nil {
 			r = resultFrom(t, iterations, pruned, start)
@@ -251,6 +263,10 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		rec.End(obs.StagePrune, t0, pruned)
 	}
 
+	if !opts.DisableGreedyFloor && !g.Tripped() {
+		floor = startFloor(g, rec, in, allowed, opts)
+	}
+
 	// Line 2: half the budget for the first round.
 	phase(g, rec, t, allowed, t.Remaining()/2+t.Cost(), opts)
 	iterations++
@@ -258,16 +274,37 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		mc3Improve(g, rec, t)
 	}
 	iterations += improveLoop(g, rec, t, allowed, opts)
+	return finish()
+}
 
-	if !opts.DisableGreedyFloor && !g.Tripped() {
-		// Greedy floor, refined: seed a second pipeline with the IG1
-		// solution, reclaim cost with MC3 and spend the freed budget on
-		// further residual rounds. A^BCC therefore never trails the
-		// adaptive per-query greedy, and usually improves on it
-		// (documented in DESIGN.md). On warm runs the refined pipeline is
-		// the dominant cost and its refinement duplicates work the
-		// incumbent already embodies, so only the plain IG1 comparison
-		// runs — the never-below-IG1 guarantee is kept either way.
+// floorRun is A^BCC's refined greedy floor, running on its own goroutine
+// beside the main pipeline. SolveCtx joins it on done and keeps its
+// plan when it has higher utility, or equal utility at lower cost.
+type floorRun struct {
+	done chan struct{}
+	// t is the floor's plan, nil when the floor panicked.
+	t *cover.Tracker
+	// iterations counts the floor's residual rounds.
+	iterations int
+}
+
+// startFloor starts the greedy floor, refined: seed a second pipeline
+// with the IG1 solution, reclaim cost with MC3 and spend the freed budget
+// on further residual rounds. A^BCC therefore never trails the adaptive
+// per-query greedy, and usually improves on it (documented in DESIGN.md).
+// On warm runs the refined pipeline is the dominant cost and its
+// refinement duplicates work the incumbent already embodies, so only the
+// plain IG1 fill runs — the never-below-IG1 guarantee is kept either way.
+//
+// The floor shares only the read-only instance, allowed and opts with
+// the main pipeline, plus the guard and the recorder, which are safe for
+// concurrent use (DESIGN.md §8). A panic in the floor is recorded on the
+// guard and forfeits the floor's plan, not the run.
+func startFloor(g *guard.Guard, rec *obs.Recorder, in *model.Instance, allowed []bool, opts Options) *floorRun {
+	f := &floorRun{done: make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		defer g.Recover()
 		t0 := rec.Start()
 		t2 := cover.New(in)
 		ig1Fill(g, t2)
@@ -275,15 +312,12 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 			if !opts.DisableMC3 {
 				mc3Improve(g, rec, t2)
 			}
-			iterations += improveLoop(g, rec, t2, allowed, opts)
+			f.iterations = improveLoop(g, rec, t2, allowed, opts)
 		}
 		rec.End(obs.StageGreedyFloor, t0, t2.CoveredCount())
-		if t2.Utility() > t.Utility() ||
-			(t2.Utility() == t.Utility() && t2.Cost() < t.Cost()) {
-			t = t2
-		}
-	}
-	return finish()
+		f.t = t2
+	}()
+	return f
 }
 
 // improveLoop is lines 4–6 of Algorithm 1 plus the leftover-budget

@@ -79,23 +79,33 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 // classifier indices after they are added. It returns the number of
 // covers selected. Query scores live in a lazily revalidated max-heap and
 // are refreshed only for the queries a selected classifier can affect.
+//
+// A refresh prices the query's cover (MinCoverCost) without building it;
+// MinCover builds it once the query is selected. Both depend only on the
+// query's residual and on which of its own subsets are selected, and any
+// change to either touches the query and refreshes it. On budgeted runs
+// an entry is pushed only when its cover fits the remaining budget: the
+// budget only shrinks and a cover's cost changes only through a refresh,
+// which pushes a fresh entry, so an entry that does not fit when pushed
+// could never be selected. Under the heap's total order the entries left
+// out cannot change which of the others pops next (DESIGN.md §5).
 func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(cover []int32)) int {
 	in := t.Instance()
-	h := &entryHeap{}
-	heap.Init(h)
 	score := make([]float64, in.NumQueries())
-	covSets := make([][]int32, in.NumQueries())
 	covCost := make([]float64, in.NumQueries())
 	touched := make([]bool, in.NumQueries())
 	var refreshed []int
+	fits := func(qi int) bool { return !budgeted || covCost[qi] <= t.Remaining()+1e-9 }
 
-	refresh := func(qi int) {
+	// rescore recomputes query qi's cover cost and score and reports
+	// whether the query belongs in the heap.
+	rescore := func(qi int) bool {
 		if t.Covered(qi) {
 			score[qi] = 0
-			return
+			return false
 		}
-		cost, sets := t.MinCover(qi, nil)
-		covCost[qi], covSets[qi] = cost, sets
+		cost := t.MinCoverCost(qi, nil)
+		covCost[qi] = cost
 		u := in.Queries()[qi].Utility
 		switch {
 		case math.IsInf(cost, 1):
@@ -105,35 +115,39 @@ func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(co
 		default:
 			score[qi] = u / cost
 		}
-		if score[qi] > 0 {
-			heap.Push(h, qEntry{qi, score[qi]})
+		return score[qi] > 0 && fits(qi)
+	}
+	var h qHeap
+	for qi := range in.Queries() {
+		if rescore(qi) {
+			h = append(h, qEntry{qi, score[qi]})
 		}
 	}
-	for qi := range in.Queries() {
-		refresh(qi)
-	}
+	h.init()
 
 	steps := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if stop != nil && stop() {
 			break
 		}
-		e := heap.Pop(h).(qEntry)
+		e := h.pop()
 		qi := e.qi
 		if t.Covered(qi) || score[qi] == 0 {
 			continue
 		}
 		if e.score > score[qi]+1e-12 || e.score < score[qi]-1e-12 {
 			// Stale entry; re-push current value.
-			heap.Push(h, qEntry{qi, score[qi]})
+			if fits(qi) {
+				h.push(qEntry{qi, score[qi]})
+			}
 			continue
 		}
-		if budgeted && covCost[qi] > t.Remaining()+1e-9 {
+		if !fits(qi) {
 			score[qi] = 0 // cover may get cheaper later; it will be refreshed
 			continue
 		}
 		// Select the whole cover set.
-		chosen := covSets[qi]
+		_, chosen := t.MinCover(qi, nil)
 		refreshed = refreshed[:0]
 		for _, ci := range chosen {
 			qs, _ := t.Occurrences(int(ci))
@@ -148,7 +162,9 @@ func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(co
 		steps++
 		for _, q2 := range refreshed {
 			touched[q2] = false
-			refresh(q2)
+			if rescore(q2) {
+				h.push(qEntry{q2, score[q2]})
+			}
 		}
 		if selected != nil {
 			selected(chosen)
@@ -232,33 +248,75 @@ func SolveIG2(in *model.Instance) Result {
 	return resultFrom(t, steps, 0, start)
 }
 
+// qEntry is one entry of IG1's heap: a query and the score it was
+// pushed with.
 type qEntry struct {
 	qi    int
 	score float64
 }
 
-// entryHeap orders IG1's entries by score, ties to the lower query
-// index. The order is total, so the pop sequence depends only on the
-// entries pushed, not on the order they were pushed in.
-type entryHeap []qEntry
+// before reports whether a pops ahead of b in the canonical order: the
+// higher score first, ties to the lower query index.
+func (a qEntry) before(b qEntry) bool {
+	return a.score > b.score || (a.score == b.score && a.qi < b.qi)
+}
 
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
+// qHeap is IG1's lazy max-heap in canonical order. The order is total, so
+// the pop sequence depends only on the entries pushed, not on the order
+// they were pushed in or on the heap's layout. Unlike container/heap it
+// boxes no entry, so push and pop allocate nothing once the backing slice
+// has room.
+type qHeap []qEntry
+
+// init establishes the heap order over the whole slice in O(len).
+func (h qHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return h[i].qi < h[j].qi
 }
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *entryHeap) Push(x interface{}) {
-	*h = append(*h, x.(qEntry))
+
+func (h *qHeap) push(e qEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
-func (h *entryHeap) Pop() interface{} {
+
+func (h *qHeap) pop() qEntry {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	top := old[0]
+	n := len(old) - 1
+	old[0] = old[n]
+	*h = old[:n]
+	h.down(0)
+	return top
+}
+
+func (h qHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func (h qHeap) down(i int) {
+	n := len(h)
+	for {
+		best, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].before(h[best]) {
+			best = l
+		}
+		if r < n && h[r].before(h[best]) {
+			best = r
+		}
+		if best == i {
+			return
+		}
+		h[i], h[best] = h[best], h[i]
+		i = best
+	}
 }
 
 type cEntry struct {

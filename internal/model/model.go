@@ -107,10 +107,11 @@ func (in *Instance) ClassifierIndex(props propset.Set) (int, bool) {
 // Cost returns the construction cost of the classifier testing exactly
 // props. Classifiers outside CL or explicitly priced +Inf return +Inf.
 func (in *Instance) Cost(props propset.Set) float64 {
-	if c, ok := in.costs[props.Key()]; ok {
+	key := props.Key()
+	if c, ok := in.costs[key]; ok {
 		return c
 	}
-	if i, ok := in.byKey[props.Key()]; ok {
+	if i, ok := in.byKey[key]; ok {
 		return in.classifiers[i].Cost
 	}
 	return math.Inf(1)

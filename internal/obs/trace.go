@@ -128,7 +128,9 @@ type StageStat struct {
 	// Calls is the number of completed spans.
 	Calls int64 `json:"calls"`
 	// Total is the summed wall time across spans. Spans on concurrent
-	// goroutines (qk_restart) overlap, so totals can exceed the solve's
+	// goroutines overlap: qk_restart's, and A^BCC's greedy_floor, whose
+	// pipeline (with its own mc3, residual_round, knapsack and qk spans)
+	// runs beside the main pipeline. So totals can exceed the solve's
 	// wall clock — they measure work, not elapsed time.
 	Total time.Duration `json:"total_ns"`
 	// Max is the longest single span.

@@ -81,6 +81,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
 	order := costOrder(g)
+	sides := make([][]bool, opts.Iterations)
 	best := solveGreedy(g, order, budget) // safety floor
 	res = best
 
@@ -158,7 +159,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	}
 	// Case: no expensive node in the optimum.
 	if !gu.Tripped() {
-		best = better(best, coreSolve(gu, g, order, budget, budget, isExpensive, zero, opts))
+		best = better(best, coreSolve(gu, g, order, sides, budget, budget, isExpensive, zero, opts))
 	}
 	// Case: exactly one expensive node — preselect it, reduce the budget
 	// for the quadratic part (the full budget still applies to the final
@@ -171,7 +172,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		copy(excl, isExpensive)
 		excl[a] = false
 		pre := append(append([]int(nil), zero...), a)
-		best = better(best, coreSolve(gu, g, order, budget-g.Cost(a), budget, excl, pre, opts))
+		best = better(best, coreSolve(gu, g, order, sides, budget-g.Cost(a), budget, excl, pre, opts))
 	}
 	res = best
 	return res
@@ -181,8 +182,13 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 // the given exclusions and preselected (treated-as-free) nodes. budget
 // bounds the quadratic part; fullBudget (≥ budget plus the preselected
 // cost) bounds the final completed solutions. order is g's cost order
-// (costOrder), shared by every completion.
-func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
+// (costOrder), shared by every completion. sides[iter] is restart iter's
+// random bipartition (drawSide), drawn by the first case that runs the
+// restart and reused by the later cases of the same call: it depends only
+// on the seed, iter and n. Cases run one after another and each waits for
+// its workers, and within a case each restart belongs to one worker, so
+// the slots need no lock.
+func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
 	n := g.NumNodes()
 	preMark := make([]bool, n)
 	for _, v := range pre {
@@ -291,12 +297,10 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, budget, fullBudget
 			}
 			t0 := opts.Trace.Start()
 			defer opts.Trace.End(obs.StageQKRestart, t0, n)
-			rng := rand.New(rand.NewSource(opts.Seed + int64(iter)*7919))
-			side := make([]bool, n)
-			for v := 0; v < n; v++ {
-				side[v] = rng.Intn(2) == 0
+			if sides[iter] == nil {
+				sides[iter] = drawSide(opts.Seed, iter, n)
 			}
-			st := newCountState(g, active, side, cint, bonus)
+			st := newCountState(g, active, sides[iter], cint, bonus)
 			k := intBudget / 2
 			st.greedyFill(gu, k)
 			st.localSearch(gu, opts.LocalSearchRounds)
@@ -316,6 +320,17 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, budget, fullBudget
 		best = better(best, r)
 	}
 	return best
+}
+
+// drawSide returns restart iter's random bipartition of n nodes (true =
+// L side).
+func drawSide(seed int64, iter, n int) []bool {
+	rng := rand.New(rand.NewSource(seed + int64(iter)*7919))
+	side := make([]bool, n)
+	for v := range side {
+		side[v] = rng.Intn(2) == 0
+	}
+	return side
 }
 
 // countState is the implicit blow-up graph Ĝ: every active node v stands

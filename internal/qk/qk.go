@@ -41,12 +41,23 @@ type Result struct {
 	Cost   float64
 }
 
+// resultFor scores a node set. The induced weight is summed in edge
+// order, as wgraph's InducedWeightOf does, over a membership mask
+// borrowed from the growers pool: every restart scores its candidates
+// with it.
 func resultFor(g *wgraph.Graph, nodes []int) Result {
 	sorted := append([]int(nil), nodes...)
 	sort.Ints(sorted)
+	s := growers.Get().(*grower)
+	in := reset(&s.in, g.NumNodes())
+	for _, v := range sorted {
+		in[v] = true
+	}
+	w := g.InducedWeight(in)
+	growers.Put(s)
 	return Result{
 		Nodes:  sorted,
-		Weight: g.InducedWeightOf(sorted),
+		Weight: w,
 		Cost:   g.TotalCost(sorted),
 	}
 }
