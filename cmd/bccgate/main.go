@@ -10,10 +10,11 @@
 // land on the backend whose solution cache is already warm; membership
 // changes remap only ~1/N of the keys. Unhealthy, draining or
 // breaker-open backends are routed around (power-of-two-choices by
-// observed load), slow primaries are hedged after -hedge-after, and
-// batches are scattered by per-item affinity and gathered back in
-// input order. The X-BCC-Backend response header names the backend
-// that answered each request.
+// observed load). A solve goes to one backend at a time: the primary,
+// then the second-ranked backend once if the primary fails with a
+// retryable error. Batches are scattered by per-item affinity and
+// gathered back in input order. The X-BCC-Backend response header
+// names the backend that answered each request.
 //
 // Membership is live: SIGHUP re-reads -backends-file (when given) and
 // applies the new set without a restart, preserving the health,
@@ -64,8 +65,6 @@ func main() {
 		backends      = flag.String("backends", "", "comma-separated backend base URLs (required unless -backends-file)")
 		backendsFile  = flag.String("backends-file", "", "file with backend URLs (one per line, # comments); SIGHUP re-reads it")
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "backend health probe period")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge delay: 0 derives it from observed latency, <0 disables hedging")
-		hedgeQuantile = flag.Float64("hedge-quantile", 0.9, "latency quantile the auto hedge delay tracks")
 		maxAttempts   = flag.Int("max-attempts", 1, "client attempts per backend call (cross-backend failover is separate)")
 		breakerFails  = flag.Int("breaker-failures", 3, "consecutive failures that open a backend's breaker")
 		breakerCool   = flag.Duration("breaker-cooldown", 2*time.Second, "how long an open backend breaker rejects before probing")
@@ -88,8 +87,6 @@ func main() {
 	c, err := cluster.New(cluster.Config{
 		Backends:      urls,
 		ProbeInterval: *probeInterval,
-		HedgeAfter:    *hedgeAfter,
-		HedgeQuantile: *hedgeQuantile,
 		MaxAttempts:   *maxAttempts,
 		Breaker: &resilience.BreakerConfig{
 			ConsecutiveFailures: *breakerFails,

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/propset"
@@ -57,6 +58,10 @@ type Outcome struct {
 	Achieved *bool
 	// Ratio is set by ratio-maximizing solvers (ecc) when finite.
 	Ratio *float64
+	// Floored reports that a warm run landed below the cold IG1 plan and
+	// the outcome carries that plan instead (see Descriptor.WarmStart).
+	// Status and Err still describe the solver's own run.
+	Floored bool
 }
 
 // RunFunc executes one solve. The error return is for hard input
@@ -93,10 +98,11 @@ type Descriptor struct {
 	IgnoresBudget bool
 	// WarmStart solvers consume Params.Warm as an initial incumbent:
 	// infeasible, oversized or stale seeds must be repaired or ignored,
-	// never fatal, and the warm result must not fall below what the cold
-	// greedy floor (incr.Floor) would deliver. The incremental re-solve
-	// subsystem (internal/incr, DESIGN.md §17) only routes warm plans to
-	// solvers with this flag.
+	// never fatal. Register holds every warm run of a WarmStart solver
+	// that keeps the budget (IgnoresBudget unset) to the cold IG1 plan,
+	// so a warm result never falls below incr.Floor. The incremental
+	// re-solve subsystem (internal/incr, DESIGN.md §17) only routes warm
+	// plans to solvers with this flag.
 	WarmStart bool
 	// EvalFloor is the pinned minimum utility ratio (solver utility /
 	// best-known) this algorithm must reach on every golden eval dataset
@@ -114,13 +120,17 @@ var (
 )
 
 // Register adds a descriptor to the registry, rejecting blanks,
-// duplicates and nil Run funcs.
+// duplicates and nil Run funcs. The Run of a budgeted WarmStart solver
+// is registered held to the IG1 floor (see floorWarm).
 func Register(d Descriptor) error {
 	if d.Name == "" {
 		return fmt.Errorf("algo: descriptor with empty name")
 	}
 	if d.Run == nil {
 		return fmt.Errorf("algo: descriptor %q has no Run", d.Name)
+	}
+	if d.WarmStart && !d.IgnoresBudget {
+		d.Run = floorWarm(d.Run)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -129,6 +139,28 @@ func Register(d Descriptor) error {
 	}
 	registry[d.Name] = d
 	return nil
+}
+
+// floorWarm wraps run so that a warm run never answers below the cold
+// IG1 plan: when core.SolveIG1 has higher utility, or equal utility at
+// lower cost, its plan replaces the solver's and Floored is set. IG1
+// runs without the request's context, so the floor holds even when the
+// deadline has already passed. Cold runs and rejected runs pass
+// through untouched.
+func floorWarm(run RunFunc) RunFunc {
+	return func(ctx context.Context, in *model.Instance, p Params) (Outcome, error) {
+		out, err := run(ctx, in, p)
+		if err != nil || len(p.Warm) == 0 {
+			return out, err
+		}
+		ig := core.SolveIG1(in)
+		out.Duration += ig.Duration
+		if ig.Utility > out.Utility || (ig.Utility == out.Utility && ig.Cost < out.Cost) {
+			out.Solution, out.Utility, out.Cost, out.Covered = ig.Solution, ig.Utility, ig.Cost, ig.Covered
+			out.Floored = true
+		}
+		return out, nil
+	}
 }
 
 // MustRegister is Register, panicking on error. The built-in table uses

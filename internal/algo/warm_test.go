@@ -2,10 +2,12 @@ package algo
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/propset"
 )
@@ -101,5 +103,81 @@ func TestWarmContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// registerTemp registers d for the length of the test and returns the
+// descriptor as Lookup serves it.
+func registerTemp(t *testing.T, d Descriptor) Descriptor {
+	t.Helper()
+	if err := Register(d); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		delete(registry, d.Name)
+	})
+	got, _ := Lookup(d.Name)
+	return got
+}
+
+// TestWarmRunsHeldToIG1 pins the registry's floor: a budgeted WarmStart
+// run that lands below the cold IG1 plan, or ties it at a higher cost,
+// answers with that plan and Floored, keeping the solver's status and
+// error. A tie at equal cost keeps the solver's plan, and a cold run, a
+// rejected run and an IgnoresBudget run pass through untouched.
+func TestWarmRunsHeldToIG1(t *testing.T) {
+	in := dataset.Synthetic(2, 120, 80)
+	ig := core.SolveIG1(in)
+	var (
+		stub   Outcome
+		runErr error
+	)
+	run := func(context.Context, *model.Instance, Params) (Outcome, error) { return stub, runErr }
+	held := registerTemp(t, Descriptor{Name: "test-held", WarmStart: true, Run: run})
+	exempt := registerTemp(t, Descriptor{Name: "test-exempt", WarmStart: true, IgnoresBudget: true, Run: run})
+	ctx := context.Background()
+	warm := Params{Warm: []propset.Set{ig.Solution.Classifiers()[0].Props}}
+	empty := Outcome{Solution: model.NewSolution(in), Status: guard.Canceled, Err: context.Canceled}
+	tie := Outcome{Solution: model.NewSolution(in), Utility: ig.Utility, Cost: ig.Cost}
+	dearTie := tie
+	dearTie.Cost++
+
+	for name, below := range map[string]Outcome{"below": empty, "dearer tie": dearTie} {
+		stub = below
+		out, err := held.Run(ctx, in, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Floored || out.Utility != ig.Utility || out.Cost != ig.Cost || out.Covered != ig.Covered {
+			t.Errorf("%s: floored=%v utility=%v cost=%v covered=%d, want the IG1 plan (%v, %v, %d)",
+				name, out.Floored, out.Utility, out.Cost, out.Covered, ig.Utility, ig.Cost, ig.Covered)
+		}
+		if out.Solution.Cost() != ig.Cost {
+			t.Errorf("%s: floored plan costs %v, want the IG1 plan's %v", name, out.Solution.Cost(), ig.Cost)
+		}
+		if out.Status != below.Status || !errors.Is(out.Err, below.Err) {
+			t.Errorf("%s: floored run reports status %v err %v, want the solver's %v %v", name, out.Status, out.Err, below.Status, below.Err)
+		}
+	}
+
+	stub = tie
+	if out, _ := held.Run(ctx, in, warm); out.Floored {
+		t.Error("a warm run tied with IG1 at equal cost was floored")
+	}
+	stub = empty
+	for name, run := range map[string]func() (Outcome, error){
+		"cold":           func() (Outcome, error) { return held.Run(ctx, in, Params{}) },
+		"ignores-budget": func() (Outcome, error) { return exempt.Run(ctx, in, warm) },
+	} {
+		out, _ := run()
+		if out.Floored || out.Utility != 0 {
+			t.Errorf("%s run was floored: floored=%v utility=%v", name, out.Floored, out.Utility)
+		}
+	}
+	runErr = errors.New("rejected")
+	if out, err := held.Run(ctx, in, warm); !errors.Is(err, runErr) || out.Floored || out.Utility != 0 {
+		t.Errorf("rejected warm run: floored=%v utility=%v err=%v, want it untouched", out.Floored, out.Utility, err)
 	}
 }

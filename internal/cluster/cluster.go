@@ -34,15 +34,6 @@ type Config struct {
 	// ProbeTimeout caps one health probe (default: ProbeInterval capped
 	// at 2s).
 	ProbeTimeout time.Duration
-	// HedgeAfter controls hedged solve requests: 0 (default) derives the
-	// delay from the observed HedgeQuantile of backend latency, a
-	// positive value fixes the delay, and a negative value disables
-	// hedging entirely.
-	HedgeAfter time.Duration
-	// HedgeQuantile is the latency quantile the auto hedge delay tracks
-	// (default 0.9). Auto hedging stays off until hedgeMinSamples calls
-	// have been observed.
-	HedgeQuantile float64
 	// Breaker overrides the per-backend circuit breaker policy (nil =
 	// 3 consecutive failures trip it, 2s cooldown).
 	Breaker *resilience.BreakerConfig
@@ -76,9 +67,6 @@ func (c Config) withDefaults() Config {
 			c.ProbeTimeout = 2 * time.Second
 		}
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile > 1 {
-		c.HedgeQuantile = 0.9
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 1
 	}
@@ -93,18 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// hedgeMinSamples is how many observed backend calls the auto hedge
-// delay needs before it trusts its quantile estimate.
-const hedgeMinSamples = 20
-
-// hedgeDelayBounds clamp the auto-derived hedge delay: never hedge
-// sooner than 5ms (a quantile estimated from cache hits would duplicate
-// every solve), never wait longer than 2s to help tail latency at all.
-const (
-	hedgeDelayMin = 5 * time.Millisecond
-	hedgeDelayMax = 2 * time.Second
-)
 
 // acct is the per-URL accounting that outlives membership changes:
 // in-flight calls and a latency EWMA (fed by the shared client's
@@ -203,12 +179,10 @@ type Cluster struct {
 	metricsMu  sync.Mutex
 	registered map[string]bool // backend URLs with registered series
 
-	latHist *obs.Histogram // successful solve-call latency, feeds hedging
+	latHist *obs.Histogram // successful solve-call latency
 
 	affinityPicks  atomic.Uint64
 	fallbackPicks  atomic.Uint64
-	hedges         atomic.Uint64
-	hedgeWins      atomic.Uint64
 	failovers      atomic.Uint64
 	noBackend      atomic.Uint64
 	peerFills      atomic.Uint64
@@ -245,7 +219,7 @@ func New(cfg Config) (*Cluster, error) {
 		probe:      &http.Client{Timeout: cfg.ProbeTimeout},
 	}
 	c.latHist = c.reg.Histogram("bcc_gate_backend_seconds",
-		"Latency of successful backend solve calls (feeds the hedge delay).", nil, obs.DefBuckets)
+		"Latency of successful backend solve calls.", nil, obs.DefBuckets)
 
 	cl, err := client.New(client.Config{
 		// The base is always overridden per call; any member URL
@@ -463,7 +437,7 @@ func (c *Cluster) randIntn(n int) int {
 }
 
 // pick chooses the primary backend for fingerprint fp plus a distinct
-// secondary (hedge/failover target), skipping excluded URLs. When the
+// secondary (failover target), skipping excluded URLs. When the
 // rendezvous-first backend is eligible, that is the primary (affinity
 // hit) and the secondary is the next eligible backend in rendezvous
 // order. When the affinity target is out (unhealthy, draining, breaker
@@ -528,34 +502,6 @@ func lighterLoad(x, y *backend) bool {
 	return x.acct.ewmaNS.Load() < y.acct.ewmaNS.Load()
 }
 
-// hedgeDelay reports the current hedge delay and whether hedging is
-// active: a fixed configured delay, or the observed HedgeQuantile of
-// backend call latency (clamped to [5ms, 2s]) once enough samples
-// exist.
-func (c *Cluster) hedgeDelay() (time.Duration, bool) {
-	if c.cfg.HedgeAfter < 0 {
-		return 0, false
-	}
-	if c.cfg.HedgeAfter > 0 {
-		return c.cfg.HedgeAfter, true
-	}
-	if c.latHist.Count() < hedgeMinSamples {
-		return 0, false
-	}
-	q, ok := c.latHist.Quantile(c.cfg.HedgeQuantile)
-	if !ok {
-		return 0, false
-	}
-	d := time.Duration(q * float64(time.Second))
-	if d < hedgeDelayMin {
-		d = hedgeDelayMin
-	}
-	if d > hedgeDelayMax {
-		d = hedgeDelayMax
-	}
-	return d, true
-}
-
 // RouteInfo describes how one solve was routed — surfaced as the
 // gateway's X-BCC-Backend header and in its statz.
 type RouteInfo struct {
@@ -567,10 +513,6 @@ type RouteInfo struct {
 	// Affinity reports the request landed on its rendezvous-first
 	// backend — the one whose cache should hold its solution.
 	Affinity bool
-	// Hedged / HedgeWon report a tail-latency hedge was fired / that
-	// the hedge's response was the one used.
-	Hedged   bool
-	HedgeWon bool
 	// FailedOver reports the primary failed and the secondary answered.
 	FailedOver bool
 	// PeerFilled reports the request was warm-seeded with a cached plan
@@ -578,16 +520,9 @@ type RouteInfo struct {
 	PeerFilled bool
 }
 
-// outcome is one backend call's result inside Solve.
-type outcome struct {
-	resp *api.SolveResponse
-	err  error
-	b    *backend
-}
-
-// Solve routes one request by fingerprint affinity, with hedging and
-// one cross-backend failover. fp is the instance's canonical
-// fingerprint (the routing key).
+// Solve routes one request by fingerprint affinity, with one
+// cross-backend failover. fp is the instance's canonical fingerprint
+// (the routing key).
 func (c *Cluster) Solve(ctx context.Context, req *api.SolveRequest, fp string) (*api.SolveResponse, RouteInfo, error) {
 	return c.SolveRouted(ctx, req, fp, "")
 }
@@ -615,69 +550,33 @@ func (c *Cluster) SolveRouted(ctx context.Context, req *api.SolveRequest, fp, fp
 		route.PeerFilled = true
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan outcome, 2) // buffered: a canceled loser must never block
-	launch := func(b *backend) {
-		go func() {
-			resp, err := c.callSolve(cctx, b, req)
-			ch <- outcome{resp: resp, err: err, b: b}
-		}()
-	}
-	launch(primary)
-	inFlight := 1
-	secondaryLaunched := false
-
-	var hedgeCh <-chan time.Time
-	if secondary != nil {
-		if d, ok := c.hedgeDelay(); ok {
-			timer := time.NewTimer(d)
-			defer timer.Stop()
-			hedgeCh = timer.C
-		}
-	}
-
+	// The primary answers on the caller's goroutine; a retryable failure
+	// earns one call to the secondary.
 	var firstErr error
-	for inFlight > 0 {
-		select {
-		case <-hedgeCh:
-			hedgeCh = nil
-			if !secondaryLaunched {
-				secondaryLaunched = true
-				route.Hedged = true
-				c.hedges.Add(1)
-				launch(secondary)
-				inFlight++
-			}
-		case o := <-ch:
-			inFlight--
-			if o.err == nil {
-				route.BackendURL, route.BackendID = o.b.url, o.b.displayID()
-				if o.b == secondary && route.Hedged {
-					route.HedgeWon = true
-					c.hedgeWins.Add(1)
-				}
-				return o.resp, route, nil
-			}
-			if ctx.Err() != nil {
-				// The caller's own deadline/cancel: stop routing around it.
-				return nil, route, ctx.Err()
-			}
-			if !client.Retryable(o.err) {
-				// A 4xx is the request's bug; every backend would answer
-				// the same, so failover is pointless.
-				return nil, route, o.err
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if o.b == primary && secondary != nil && !secondaryLaunched {
-				secondaryLaunched = true
-				route.FailedOver = true
-				c.failovers.Add(1)
-				launch(secondary)
-				inFlight++
-			}
+	for _, b := range []*backend{primary, secondary} {
+		if b == nil {
+			break
+		}
+		if b == secondary {
+			route.FailedOver = true
+			c.failovers.Add(1)
+		}
+		resp, err := c.callSolve(ctx, b, req)
+		if err == nil {
+			route.BackendURL, route.BackendID = b.url, b.displayID()
+			return resp, route, nil
+		}
+		if ctx.Err() != nil {
+			// The caller's own deadline/cancel: stop routing around it.
+			return nil, route, ctx.Err()
+		}
+		if !client.Retryable(err) {
+			// A 4xx is the request's bug; every backend would answer the
+			// same, so failover is pointless.
+			return nil, route, err
+		}
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	return nil, route, firstErr
@@ -708,12 +607,12 @@ func (c *Cluster) callBatch(ctx context.Context, b *backend, reqs []api.SolveReq
 }
 
 // recordOutcome applies one call's result to the backend's breaker and
-// health. Context cancellation (a hedge loser, or the caller's own
-// deadline) says nothing about the backend and records nothing;
-// non-retryable HTTP answers (4xx) are the request's fault and record
-// nothing; retryable failures count against the breaker, and transport
-// failures additionally mark the backend unhealthy right away so
-// routing reacts a full probe interval sooner.
+// health. Context cancellation (the caller's own deadline or cancel)
+// says nothing about the backend and records nothing; non-retryable
+// HTTP answers (4xx) are the request's fault and record nothing;
+// retryable failures count against the breaker, and transport failures
+// additionally mark the backend unhealthy right away so routing reacts
+// a full probe interval sooner.
 func (c *Cluster) recordOutcome(b *backend, elapsed time.Duration, err error) {
 	if err == nil {
 		b.breaker.Record(true)
@@ -876,16 +775,17 @@ type Stats struct {
 	Backends      []BackendStatus `json:"backends"`
 	AffinityPicks uint64          `json:"affinity_picks"`
 	FallbackPicks uint64          `json:"fallback_picks"`
-	Hedges        uint64          `json:"hedges"`
-	HedgeWins     uint64          `json:"hedge_wins"`
 	Failovers     uint64          `json:"failovers"`
 	NoBackend     uint64          `json:"no_backend"`
+	// Hedges and HedgeWins always read 0: the gateway does not hedge.
+	// The fields stay for readers that decode them.
+	Hedges    uint64 `json:"hedges"`
+	HedgeWins uint64 `json:"hedge_wins"`
 	// PeerFills / PeerFillMisses count fleet warm transfers: requests
 	// dispatched to a recently joined backend with the previous owner's
 	// cached plan attached, and fill attempts that found nothing.
 	PeerFills      uint64       `json:"peer_fills"`
 	PeerFillMisses uint64       `json:"peer_fill_misses"`
-	HedgeDelayMS   float64      `json:"hedge_delay_ms"`
 	Jobs           JobStats     `json:"jobs"`
 	Client         client.Stats `json:"client"`
 }
@@ -895,17 +795,12 @@ func (c *Cluster) Stats() Stats {
 	st := Stats{
 		AffinityPicks:  c.affinityPicks.Load(),
 		FallbackPicks:  c.fallbackPicks.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
 		Failovers:      c.failovers.Load(),
 		NoBackend:      c.noBackend.Load(),
 		PeerFills:      c.peerFills.Load(),
 		PeerFillMisses: c.peerFillMisses.Load(),
 		Jobs:           c.jobStats(),
 		Client:         c.cl.Stats(),
-	}
-	if d, ok := c.hedgeDelay(); ok {
-		st.HedgeDelayMS = float64(d) / float64(time.Millisecond)
 	}
 	for _, b := range c.members.Load().list {
 		id, _ := b.reportedID.Load().(string)
@@ -948,10 +843,6 @@ func (c *Cluster) initMetrics() {
 		func() float64 { return float64(c.affinityPicks.Load()) })
 	reg.CounterFunc("bcc_gate_fallback_picks_total", "Requests routed by power-of-two-choices fallback.", nil,
 		func() float64 { return float64(c.fallbackPicks.Load()) })
-	reg.CounterFunc("bcc_gate_hedges_total", "Hedged requests fired at the second-ranked backend.", nil,
-		func() float64 { return float64(c.hedges.Load()) })
-	reg.CounterFunc("bcc_gate_hedges_won_total", "Hedged requests whose hedge answered first.", nil,
-		func() float64 { return float64(c.hedgeWins.Load()) })
 	reg.CounterFunc("bcc_gate_failovers_total", "Solves answered by the secondary after the primary failed.", nil,
 		func() float64 { return float64(c.failovers.Load()) })
 	reg.CounterFunc("bcc_gate_no_backend_total", "Requests refused because no backend was eligible.", nil,
@@ -960,13 +851,6 @@ func (c *Cluster) initMetrics() {
 		func() float64 { return float64(c.peerFills.Load()) })
 	reg.CounterFunc("bcc_incr_peer_fill_miss_total", "Peer-fill attempts that found no usable cached plan.", nil,
 		func() float64 { return float64(c.peerFillMisses.Load()) })
-	reg.GaugeFunc("bcc_gate_hedge_delay_seconds", "Current hedge delay (0 while hedging is inactive).", nil,
-		func() float64 {
-			if d, ok := c.hedgeDelay(); ok {
-				return d.Seconds()
-			}
-			return 0
-		})
 	c.initJobMetrics()
 }
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,13 +18,12 @@ import (
 )
 
 // fakeBackend is a scriptable stand-in for a bccserver: canned solve
-// answers, a switchable healthz status and an injectable solve delay —
-// just enough wire compatibility for the shared client to talk to it.
+// answers and a switchable healthz status — just enough wire
+// compatibility for the shared client to talk to it.
 type fakeBackend struct {
 	id      string
 	srv     *httptest.Server
 	hits    atomic.Int64
-	delayNS atomic.Int64
 	healthz atomic.Int32
 }
 
@@ -33,9 +34,6 @@ func newFakeBackend(t *testing.T, id string) *fakeBackend {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
-		if d := f.delayNS.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
 		w.Header().Set(api.BackendHeader, f.id)
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(api.SolveResponse{Fingerprint: "fake", Algo: "abcc", Status: "complete"})
@@ -74,16 +72,15 @@ func newRealBackend(t *testing.T, id string) (*server.Server, *httptest.Server) 
 	return srv, ts
 }
 
-// newTestCluster builds a cluster with test-friendly defaults: hedging
-// off (tests that want it opt in), a long probe interval (tests drive
-// probes explicitly via ProbeNow or rely on in-band failure detection).
+// newTestCluster builds a cluster with a test-friendly long probe
+// interval (tests drive probes explicitly via ProbeNow or rely on
+// in-band failure detection).
 func newTestCluster(t *testing.T, urls []string, mut func(*Config)) *Cluster {
 	t.Helper()
 	cfg := Config{
 		Backends:      urls,
 		ProbeInterval: time.Hour,
 		ProbeTimeout:  2 * time.Second,
-		HedgeAfter:    -1,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -258,81 +255,27 @@ func TestSolveNoEligibleBackend(t *testing.T) {
 	}
 }
 
-// A hedged request must fire after the configured delay and win when
-// the primary is slow — and the loser's cancellation must not be
-// charged against the slow backend's breaker.
-func TestSolveHedgeWins(t *testing.T) {
-	fa := newFakeBackend(t, "hedge-a")
-	fb := newFakeBackend(t, "hedge-b")
-	c := newTestCluster(t, []string{fa.srv.URL, fb.srv.URL}, func(cfg *Config) {
-		cfg.HedgeAfter = 20 * time.Millisecond
-	})
+// When the primary and the failover backend both fail retryably, the
+// caller gets the primary's error: the request belonged there.
+func TestSolveBothBackendsFailReturnsPrimaryError(t *testing.T) {
+	fa := newFakeBackend(t, "both-a")
+	fb := newFakeBackend(t, "both-b")
+	c := newTestCluster(t, []string{fa.srv.URL, fb.srv.URL}, nil)
+	fa.srv.Close() // dead after the initial probe: the cluster still trusts both
+	fb.srv.Close()
 
-	const fp = "bccfp/1:hedge-test"
+	const fp = "bccfp/1:both-dead"
 	top := Top(fp, c.Backends())
-	slow, fast := fa, fb
-	if top == fb.srv.URL {
-		slow, fast = fb, fa
+	_, route, err := c.Solve(context.Background(), &api.SolveRequest{}, fp)
+	if err == nil {
+		t.Fatal("solve against a dead fleet succeeded")
 	}
-	slow.delayNS.Store(int64(2 * time.Second))
-
-	start := time.Now()
-	resp, route, err := c.Solve(context.Background(), &api.SolveRequest{}, fp)
-	if err != nil {
-		t.Fatalf("solve: %v", err)
+	if !route.FailedOver {
+		t.Fatalf("route = %+v, want FailedOver", route)
 	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedged solve took %v, the hedge did not rescue the tail", elapsed)
-	}
-	if !route.Hedged || !route.HedgeWon {
-		t.Fatalf("route = %+v, want Hedged and HedgeWon", route)
-	}
-	if route.BackendURL != fast.srv.URL {
-		t.Fatalf("answered by %s, want the fast backend %s", route.BackendURL, fast.srv.URL)
-	}
-	if resp.Status != "complete" {
-		t.Fatalf("status = %q", resp.Status)
-	}
-	st := c.Stats()
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
-	}
-	// The canceled primary must not count as a backend failure.
-	for _, b := range st.Backends {
-		if b.URL == slow.srv.URL && b.Breaker.ConsecutiveFailures > 0 {
-			t.Fatalf("hedge loser charged the slow backend's breaker: %+v", b.Breaker)
-		}
-	}
-}
-
-// The auto hedge delay must stay silent until enough latency samples
-// exist, then track the configured quantile within the clamp bounds.
-func TestHedgeDelayAuto(t *testing.T) {
-	f := newFakeBackend(t, "auto")
-	c := newTestCluster(t, []string{f.srv.URL}, func(cfg *Config) {
-		cfg.HedgeAfter = 0 // auto
-	})
-	if _, ok := c.hedgeDelay(); ok {
-		t.Fatal("auto hedge active with no samples")
-	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		c.latHist.Observe(0.05)
-	}
-	d, ok := c.hedgeDelay()
-	if !ok {
-		t.Fatalf("auto hedge still inactive after %d samples", hedgeMinSamples)
-	}
-	if d < hedgeDelayMin || d > hedgeDelayMax {
-		t.Fatalf("auto hedge delay %v outside [%v, %v]", d, hedgeDelayMin, hedgeDelayMax)
-	}
-	// Fixed and disabled overrides win regardless of samples.
-	c.cfg.HedgeAfter = 42 * time.Millisecond
-	if d, ok := c.hedgeDelay(); !ok || d != 42*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v/%v", d, ok)
-	}
-	c.cfg.HedgeAfter = -1
-	if _, ok := c.hedgeDelay(); ok {
-		t.Fatal("disabled hedging still reports a delay")
+	var ue *url.Error
+	if !errors.As(err, &ue) || !strings.HasPrefix(ue.URL, top) {
+		t.Fatalf("err = %v, want the primary %s's transport error", err, top)
 	}
 }
 

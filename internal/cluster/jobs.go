@@ -25,10 +25,11 @@ import (
 // the JobStatus the caller sees carries Resubmitted=true and the new
 // owning backend instead.
 //
-// No hedging here, deliberately: a hedged submit would create two
-// durable jobs solving the same instance. Failover is one-shot and only
-// before the first backend accepted the submission (submit failover) or
-// after the owning backend is observed dead (resubmission).
+// A submission must never reach two backends at once: that would create
+// two durable jobs solving the same instance. Failover is one-shot and
+// only before the first backend accepted the submission (submit
+// failover) or after the owning backend is observed dead
+// (resubmission).
 
 // ErrJobUnknown is returned for an external job ID the gateway is not
 // tracking (never submitted here, or evicted from the bounded tracker).
@@ -132,8 +133,7 @@ func (c *Cluster) TrackedJobs() int {
 }
 
 // SubmitJob routes an async job submission by fingerprint affinity with
-// one cross-backend failover (no hedging — a durable job must not be
-// submitted twice). On success the returned status carries the
+// one cross-backend failover. On success the returned status carries the
 // gateway's external job ID; all later polls must use it.
 func (c *Cluster) SubmitJob(ctx context.Context, req *api.JobRequest, fp string) (*api.JobStatus, RouteInfo, error) {
 	primary, secondary, affinity := c.pick(fp, nil)

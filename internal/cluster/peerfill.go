@@ -22,7 +22,7 @@ import (
 //
 // The "previous owner" is the next backend in rendezvous order after
 // the new primary: exactly the member the fingerprint mapped to before
-// the join (the cluster already computes it as the hedge/failover
+// the join (the cluster already computes it as the failover
 // secondary).
 
 // maybePeerFill returns req, or a copy with WarmPlan attached when a

@@ -3,10 +3,10 @@
 // (highest-random-weight) hashing on the canonical instance fingerprint
 // so identical instances always land on the backend that already caches
 // their solution, health-aware routing with per-backend circuit
-// breakers, hedged requests against the second-ranked backend for tail
-// latency, and scatter-gather fan-out for batch solves. cmd/bccgate
-// mounts it behind the same internal/api wire types the backends speak,
-// so clients cannot tell a gateway from a single server.
+// breakers, one failover to the second-ranked backend, and
+// scatter-gather fan-out for batch solves. cmd/bccgate mounts it
+// behind the same internal/api wire types the backends speak, so
+// clients cannot tell a gateway from a single server.
 //
 // Why rendezvous hashing: the solution cache (internal/solvecache) is
 // keyed by Instance.Fingerprint(), so horizontal scale only pays off

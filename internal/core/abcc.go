@@ -45,16 +45,20 @@ type Options struct {
 	// slower; off by default.
 	MixedPhase bool
 	// DisableGreedyFloor skips the final best-of comparison against the
-	// IG1 greedy (used by ablation benchmarks). With the floor enabled
-	// (default), A^BCC never returns less utility than IG1.
+	// refined IG1 greedy (used by ablation benchmarks). With the floor
+	// enabled (default), a cold A^BCC run never returns less utility
+	// than IG1. Warm fast-path runs start no floor; the solver registry
+	// (internal/algo) holds every warm run to the IG1 plan instead.
 	DisableGreedyFloor bool
 	// Warm seeds the run with a previously found feasible plan — the
 	// incumbent of an earlier checkpoint (internal/jobs) or a prior
 	// anytime slice. Sets that fit the remaining budget are selected
-	// before any phase runs, so a warm-started run never returns less
-	// utility than the incumbent: phases and greedy fills only add, and
-	// MC3 only adopts strictly cheaper re-coverings. Sets that no longer
-	// fit (e.g. after a budget override) are skipped, not fatal.
+	// before anything else, the deadline check included, so a
+	// warm-started run never returns less utility than the incumbent,
+	// even on a context that is already done: phases and greedy fills
+	// only add, and MC3 only adopts strictly cheaper re-coverings. Sets
+	// that no longer fit (e.g. after a budget override) are skipped, not
+	// fatal.
 	Warm []propset.Set
 	// warmFast marks a run whose warm seed restored most of the coverage:
 	// the solver then runs only residual work (see SolveCtx). Set
@@ -207,12 +211,6 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 			res = finish()
 		}
 	}()
-	if g.Tripped() {
-		return finish()
-	}
-	var greedyOnly bool
-	opts, greedyOnly = degradeForDeadline(g, opts)
-
 	t = cover.New(in)
 	// Free classifiers are always selected (paper §4.1 preprocessing).
 	for ci, c := range in.Classifiers() {
@@ -220,8 +218,9 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 			t.AddIndex(ci)
 		}
 	}
-	// Warm start: restore the incumbent before any optimization so even
-	// the bottom rung of the degradation ladder keeps prior progress.
+	// Warm start: restore the incumbent before the deadline check, so
+	// every rung of the degradation ladder keeps prior progress, a
+	// context that is done on entry included.
 	warmed := 0
 	for _, w := range opts.Warm {
 		if t.Has(w) {
@@ -233,6 +232,11 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 			}
 		}
 	}
+	if g.Tripped() {
+		return finish()
+	}
+	var greedyOnly bool
+	opts, greedyOnly = degradeForDeadline(g, opts)
 
 	if greedyOnly {
 		// Bottom rung of the ladder: almost no deadline budget left, so
@@ -248,9 +252,10 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	// Candidate pruning is skipped (the per-phase budget filter in
 	// phaseMaxCost shrinks the subproblems far harder than the pruning
 	// rules would), QK restarts are trimmed as on the light degradation
-	// rung, and the greedy floor runs un-refined. A warm seed that spent
-	// little gets the full cold pipeline: correctness first, speed only
-	// when the seed earned it.
+	// rung, and no greedy floor runs: the solver registry holds warm runs
+	// to the IG1 plan (internal/algo). A warm seed that spent little gets
+	// the full cold pipeline: correctness first, speed only when the seed
+	// earned it.
 	opts.warmFast = warmed > 0 && t.Cost() >= in.Budget()/2
 	if opts.warmFast && (opts.QK.Iterations == 0 || opts.QK.Iterations > 2) {
 		opts.QK.Iterations = 2
@@ -263,7 +268,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		rec.End(obs.StagePrune, t0, pruned)
 	}
 
-	if !opts.DisableGreedyFloor && !g.Tripped() {
+	if !opts.DisableGreedyFloor && !opts.warmFast && !g.Tripped() {
 		floor = startFloor(g, rec, in, allowed, opts)
 	}
 
@@ -292,9 +297,6 @@ type floorRun struct {
 // with the IG1 solution, reclaim cost with MC3 and spend the freed budget
 // on further residual rounds. A^BCC therefore never trails the adaptive
 // per-query greedy, and usually improves on it (documented in DESIGN.md).
-// On warm runs the refined pipeline is the dominant cost and its
-// refinement duplicates work the incumbent already embodies, so only the
-// plain IG1 fill runs — the never-below-IG1 guarantee is kept either way.
 //
 // The floor shares only the read-only instance, allowed and opts with
 // the main pipeline, plus the guard and the recorder, which are safe for
@@ -308,12 +310,10 @@ func startFloor(g *guard.Guard, rec *obs.Recorder, in *model.Instance, allowed [
 		t0 := rec.Start()
 		t2 := cover.New(in)
 		ig1Fill(g, t2)
-		if !opts.warmFast {
-			if !opts.DisableMC3 {
-				mc3Improve(g, rec, t2)
-			}
-			f.iterations = improveLoop(g, rec, t2, allowed, opts)
+		if !opts.DisableMC3 {
+			mc3Improve(g, rec, t2)
 		}
+		f.iterations = improveLoop(g, rec, t2, allowed, opts)
 		rec.End(obs.StageGreedyFloor, t0, t2.CoveredCount())
 		f.t = t2
 	}()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/guard"
 	"repro/internal/propset"
 )
 
@@ -34,6 +35,27 @@ func TestWarmStartKeepsIncumbentUnderTightDeadline(t *testing.T) {
 	checkFeasibleResult(t, in, res)
 	if res.Utility < incumbent.Utility-1e-9 {
 		t.Errorf("warm-started utility %v regressed below incumbent %v", res.Utility, incumbent.Utility)
+	}
+}
+
+// A warm run whose context is already done on entry must still return
+// the incumbent: the deadline check comes after the restore.
+func TestWarmStartKeepsIncumbentOnDoneContext(t *testing.T) {
+	in := anytimeInstance(7)
+	incumbent := Solve(in, Options{Seed: 1})
+	if incumbent.Utility <= 0 {
+		t.Fatal("incumbent solved nothing; instance too easy to test warm start")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := SolveCtx(ctx, in, Options{Seed: 1, Warm: warmSets(incumbent)})
+	if res.Status != guard.Canceled {
+		t.Errorf("Status = %v, want Canceled", res.Status)
+	}
+	checkFeasibleResult(t, in, res)
+	if res.Utility < incumbent.Utility-1e-9 {
+		t.Errorf("warm run on a done context returned utility %v, below incumbent %v", res.Utility, incumbent.Utility)
 	}
 }
 

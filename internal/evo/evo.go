@@ -61,8 +61,9 @@ type Options struct {
 	// early stop.
 	StallLimit int
 	// DisableGreedyFloor skips the IG1-seeded individual. With the floor
-	// enabled (default), the incumbent never trails the IG1 baseline,
-	// even when a deadline stops the run mid-generation.
+	// enabled (default), a cold run's incumbent never trails the IG1
+	// baseline, even when a deadline stops the run mid-generation; the
+	// IG1 individual starts from the warm seed when there is one.
 	DisableGreedyFloor bool
 	// Warm seeds every individual's base with a previously found
 	// feasible plan (the incumbent of an earlier checkpoint or anytime
@@ -170,13 +171,12 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 
 	// Shared base: free classifiers plus the warm incumbent. Every
 	// individual is a clone of it, so prior progress is never lost.
-	free := cover.New(in)
+	base := cover.New(in)
 	for _, c := range in.Classifiers() {
 		if c.Cost == 0 {
-			free.Add(c.Props)
+			base.Add(c.Props)
 		}
 	}
-	base := free.Clone()
 	for _, w := range opts.Warm {
 		if base.Has(w) {
 			continue
@@ -196,11 +196,6 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	if left, ok := g.Remaining(); ok && left < degradeFloor {
 		if !opts.DisableGreedyFloor {
 			core.IG1Fill(g, best)
-			if len(opts.Warm) > 0 {
-				cold := free.Clone()
-				core.IG1Fill(g, cold)
-				updateIncumbent(&best, []*cover.Tracker{cold})
-			}
 		}
 		return finish()
 	}
@@ -225,15 +220,6 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		fl := base.Clone()
 		core.IG1Fill(g, fl)
 		pop = append(pop, fl)
-		// A poor warm seed can crowd the budget out of the floor
-		// individual, so with a warm base the cold IG1 floor joins the
-		// population too — the warm contract (algo.Descriptor.WarmStart)
-		// promises never to land below the cold IG1 utility.
-		if len(opts.Warm) > 0 {
-			cold := free.Clone()
-			core.IG1Fill(g, cold)
-			pop = append(pop, cold)
-		}
 	}
 	for len(pop) < opts.Population && !g.Tripped() {
 		ind := base.Clone()

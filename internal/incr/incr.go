@@ -241,10 +241,10 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 
 // Floor is the runtime quality floor every warm path is held to: the
 // utility of a cold IG1 greedy solve. Incremental solving is a speedup,
-// never a quality downgrade — a warm result below this floor must be
-// discarded and re-solved cold (the PR 8 eval floors are calibrated
-// against best-known utilities offline; IG1 is the online-computable
-// stand-in every registered warm-capable solver already dominates).
+// never a quality downgrade — the solver registry answers a warm run
+// that lands below this floor with the IG1 plan itself
+// (algo.Descriptor.WarmStart). The eval floors are calibrated against
+// best-known utilities offline; IG1 is the online-computable stand-in.
 func Floor(in *model.Instance) float64 {
 	return core.SolveIG1(in).Utility
 }

@@ -738,8 +738,9 @@ func (p *Pipeline) buildRequest(recs []wal.Record) (*api.JobRequest, error) {
 			// Warm chaining: consecutive windows of one workload overlap
 			// heavily, so the last published plan seeds this window's
 			// solve. The server repairs it against the new instance (stale
-			// queries drop out) and holds the result to the IG1 floor, so
-			// a divergent window costs at most a cold re-solve.
+			// queries drop out) and the solver registry holds the result
+			// to the IG1 floor, so a divergent window answers no worse
+			// than IG1.
 			WarmPlan: p.lastPlanSets(),
 		},
 		JobDeadlineMS: watchdog.Milliseconds(),

@@ -42,9 +42,10 @@ func errorf(code int, format string, args ...any) *Error {
 // checkpoint; the one-shot algos ignore it (they finish in a single
 // slice anyway). warmSource records the seed's provenance on the
 // response (api.WarmSource*; empty for cold and checkpoint-resumed
-// runs). prepareSolve already validated the algo name, so the registry
-// lookup here cannot miss.
-func runSolve(ctx context.Context, in *bcc.Instance, algoName string, req *SolveRequest, fp string, warm []bcc.PropSet, warmSource string) *SolveResponse {
+// runs). A warm run the registry answered with the IG1 plan counts as
+// a floor fallback. prepareSolve already validated the algo name, so
+// the registry lookup here cannot miss.
+func (s *Server) runSolve(ctx context.Context, in *bcc.Instance, algoName string, req *SolveRequest, fp string, warm []bcc.PropSet, warmSource string) *SolveResponse {
 	start := time.Now()
 	resp := &SolveResponse{
 		Fingerprint: fp,
@@ -69,6 +70,9 @@ func runSolve(ctx context.Context, in *bcc.Instance, algoName string, req *Solve
 	}
 	resp.Achieved = out.Achieved
 	resp.Ratio = out.Ratio
+	if out.Floored {
+		s.incrFloorFallbacks.Add(1)
+	}
 	switch {
 	case err != nil:
 		// A hard input rejection from a Run (none of the servable algos

@@ -21,9 +21,10 @@ import (
 //   - otherwise the cache's near-miss index is consulted: an entry whose
 //     bccfp2/1 tag matches (same queries, any budget/utilities/costs)
 //     donates its plan;
-//   - the warm result is held to the IG1 quality floor (incr.Floor); a
-//     warm solve that lands below it is discarded and re-run cold, so a
-//     bad seed can degrade latency but never answer quality.
+//   - the solver registry holds the warm result to the IG1 quality
+//     floor (algo.Descriptor.WarmStart): a warm solve that lands below
+//     it answers with the IG1 plan, so a bad seed can never degrade
+//     answer quality.
 
 // siblingTag derives the near-miss index tag from a cached value. It is
 // installed as the cache's tagger in New, and re-applied by Import, so a
@@ -78,9 +79,8 @@ func (s *Server) warmFor(in *bcc.Instance, served string, req *SolveRequest, key
 }
 
 // runWarmSolve is runSolve plus the incremental machinery: warm-seed
-// selection, the IG1 quality floor on warm results, and the
-// warm-vs-cold latency histogram. It is the only solve entry of the
-// synchronous path and of job slices without a checkpoint.
+// selection and the warm-vs-cold latency histogram. It is the only
+// solve entry of the synchronous path.
 func (s *Server) runWarmSolve(ctx context.Context, in *bcc.Instance, served string, req *SolveRequest, fp, key string) *SolveResponse {
 	warm, source := s.warmFor(in, served, req, key)
 	mode := "cold"
@@ -88,32 +88,11 @@ func (s *Server) runWarmSolve(ctx context.Context, in *bcc.Instance, served stri
 		mode = "warm"
 	}
 	t0 := time.Now()
-	resp := runSolve(ctx, in, served, req, fp, warm, source)
-	if warm != nil {
-		guarded := s.floorGuard(ctx, in, served, req, fp, resp)
-		if guarded != resp {
-			resp, mode = guarded, "cold"
-		}
-	}
+	resp := s.runSolve(ctx, in, served, req, fp, warm, source)
 	s.reg.Histogram("bcc_incr_solve_seconds",
 		"Solver execution time split by warm-started vs cold runs.",
 		obs.Labels{"mode": mode}, solveBuckets).Observe(time.Since(t0).Seconds())
 	return resp
-}
-
-// floorGuard holds a warm result to the IG1 quality floor: defense in
-// depth — WarmStart solvers already keep a cold IG1 floor internally,
-// but no warm path may answer below it even if a solver regresses. A
-// violating result is discarded and replaced by a fresh cold solve.
-// Target-seeking solvers are exempt (their answer is a feasibility
-// verdict, not a budgeted maximization).
-func (s *Server) floorGuard(ctx context.Context, in *bcc.Instance, served string, req *SolveRequest, fp string, resp *SolveResponse) *SolveResponse {
-	d, _ := algo.Lookup(served)
-	if d.IgnoresBudget || resp.Utility >= incr.Floor(in) {
-		return resp
-	}
-	s.incrFloorFallbacks.Add(1)
-	return runSolve(ctx, in, served, req, fp, nil, "")
 }
 
 // IncrStats is the /v1/statz view of the incremental re-solve
@@ -127,7 +106,7 @@ type IncrStats struct {
 	// (>= WarmSibling: a found plan can still repair to nothing).
 	SiblingHits uint64 `json:"sibling_hits"`
 	// FloorFallbacks counts warm results under the IG1 floor that were
-	// re-solved cold.
+	// answered with the IG1 plan (algo.Outcome.Floored).
 	FloorFallbacks uint64 `json:"floor_fallbacks"`
 }
 
@@ -150,7 +129,7 @@ func (s *Server) initIncrMetrics() {
 		func() float64 { return float64(s.incrWarmSibling.Load()) })
 	reg.CounterFunc("bcc_incr_sibling_hits_total", "Near-miss cache index lookups that found a neighbor entry.", nil,
 		func() float64 { return float64(s.incrSiblingHits.Load()) })
-	reg.CounterFunc("bcc_incr_floor_fallbacks_total", "Warm results under the IG1 quality floor, re-solved cold.", nil,
+	reg.CounterFunc("bcc_incr_floor_fallbacks_total", "Warm results under the IG1 quality floor, answered with the IG1 plan.", nil,
 		func() float64 { return float64(s.incrFloorFallbacks.Load()) })
 }
 

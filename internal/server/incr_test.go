@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataset"
+	"repro/internal/guard"
 	"repro/internal/incr"
 )
 
@@ -138,35 +138,35 @@ func TestCacheEntryEndpoint(t *testing.T) {
 	}
 }
 
-func TestFloorGuardResolvesColdBelowFloor(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
+// A warm solve whose deadline runs out before its worker starts must
+// still answer at or above the IG1 floor: the registry computes the IG1
+// plan without the request's deadline and answers with it.
+func TestWarmSolveHoldsFloorPastDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	guard.Arm("server.pool.dequeue", guard.DelayFault(100*time.Millisecond))
+	defer guard.DisarmAll()
+
+	// A poor seed: two half-covers of one query spend budget the IG1
+	// plan puts to better use.
+	_, resp := solve(t, ts, SolveRequest{
+		Instance: quickstartFormat(3), NoCache: true, DeadlineMS: 10,
+		WarmPlan: [][]string{{"wooden"}, {"table"}},
+	})
+	if resp.WarmSource != api.WarmSourceRequest {
+		t.Errorf("WarmSource = %q, want %q", resp.WarmSource, api.WarmSourceRequest)
+	}
+	if resp.Status != guard.DeadlineExceeded.String() {
+		t.Errorf("status = %q, want the solver's %q", resp.Status, guard.DeadlineExceeded)
+	}
 	in, err := dataset.FromFormat(quickstartFormat(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := in.Fingerprint()
-	req := &SolveRequest{IncludePlan: true}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	low := &SolveResponse{Fingerprint: fp, Algo: "abcc", Utility: 0}
-	out := s.floorGuard(ctx, in, "abcc", req, fp, low)
-	if out == low {
-		t.Fatal("floor guard kept a below-floor warm result")
+	if floor := incr.Floor(in); resp.Utility < floor {
+		t.Fatalf("warm answer past its deadline has utility %v, below the IG1 floor %v", resp.Utility, floor)
 	}
-	if floor := incr.Floor(in); out.Utility < floor {
-		t.Fatalf("guarded utility %v still below floor %v", out.Utility, floor)
-	}
-	if got := s.incrFloorFallbacks.Load(); got != 1 {
-		t.Fatalf("floor fallbacks = %d, want 1", got)
-	}
-
-	// Target-seeking solvers answer feasibility, not budgeted
-	// maximization; the floor does not apply.
-	exempt := &SolveResponse{Fingerprint: fp, Algo: "gmc3", Utility: 0}
-	if out := s.floorGuard(ctx, in, "gmc3", &SolveRequest{Target: 1}, fp, exempt); out != exempt {
-		t.Fatal("floor guard re-solved an IgnoresBudget result")
+	if got := s.Statz().Incr.FloorFallbacks; got != 1 {
+		t.Errorf("floor fallbacks = %d, want 1", got)
 	}
 }
 

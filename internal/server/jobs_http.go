@@ -70,12 +70,7 @@ func (s *Server) jobSolve(ctx context.Context, req *api.JobRequest, cp *jobs.Che
 	s.solves.Add(1)
 	s.inflight.Add(1)
 	t0 := time.Now()
-	resp := runSolve(ctx, in, algo, &req.SolveRequest, fp, warm, warmSource)
-	if warmSource != "" {
-		// Checkpoint seeds are the job's own earlier incumbent and cannot
-		// lower quality; only externally supplied plans need the guard.
-		resp = s.floorGuard(ctx, in, algo, &req.SolveRequest, fp, resp)
-	}
+	resp := s.runSolve(ctx, in, algo, &req.SolveRequest, fp, warm, warmSource)
 	s.inflight.Add(-1)
 	s.observeSolve(algo, resp.Status, time.Since(t0).Seconds())
 	if resp.Status == bcc.Complete.String() && !req.NoCache {

@@ -190,7 +190,7 @@ type Server struct {
 	incrWarmRequest    atomic.Uint64 // warm solves seeded by a request WarmPlan
 	incrWarmSibling    atomic.Uint64 // warm solves seeded from a near-miss cache neighbor
 	incrSiblingHits    atomic.Uint64 // sibling index lookups that found a neighbor
-	incrFloorFallbacks atomic.Uint64 // warm results under the IG1 floor, re-solved cold
+	incrFloorFallbacks atomic.Uint64 // warm results under the IG1 floor, answered with the IG1 plan
 
 	// Snapshot persistence counters (SaveSnapshot / RestoreSnapshot).
 	snapSaves      atomic.Uint64

@@ -47,9 +47,10 @@ import (
 // default configuration; the solver itself is deterministic (no seed).
 type Options struct {
 	// DisableGreedyFloor skips the initial IG1 run that anchors the
-	// incumbent. With the floor enabled (default), the solver never
+	// incumbent. With the floor enabled (default), a cold run never
 	// returns less utility than the IG1 baseline, even when stopped
-	// mid-pass by a deadline.
+	// mid-pass by a deadline; the IG1 run starts from the warm seed when
+	// there is one.
 	DisableGreedyFloor bool
 	// Warm seeds the run with a previously found feasible plan — the
 	// incumbent of an earlier checkpoint (internal/jobs) or a prior
@@ -125,13 +126,12 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 
 	// Shared base: free classifiers plus the warm incumbent. Both passes
 	// and the floor start from it, so prior progress is never lost.
-	free := cover.New(in)
+	base := cover.New(in)
 	for ci, c := range in.Classifiers() {
 		if c.Cost == 0 {
-			free.AddIndex(ci)
+			base.AddIndex(ci)
 		}
 	}
-	base := free.Clone()
 	for _, w := range opts.Warm {
 		if base.Has(w) {
 			continue
@@ -146,19 +146,13 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	}
 
 	// Floor first: once this completes, any later stop returns an
-	// incumbent no worse than the IG1 baseline. A poor warm seed can eat
-	// the budget before the floor runs, so with a warm base the floor is
-	// also evaluated warm-free — the warm contract (algo.Descriptor
-	// .WarmStart) promises never to land below the cold IG1 utility.
+	// incumbent no worse than IG1 run from the base. A poor warm seed can
+	// eat the budget before the floor runs; the solver registry holds
+	// warm runs to the cold IG1 plan (algo.Descriptor.WarmStart).
 	if !opts.DisableGreedyFloor {
 		fl := base.Clone()
 		steps += core.IG1Fill(g, fl)
 		adopt(&best, fl)
-		if len(opts.Warm) > 0 {
-			cold := free.Clone()
-			steps += core.IG1Fill(g, cold)
-			adopt(&best, cold)
-		}
 	}
 
 	for _, scaled := range []bool{true, false} {
