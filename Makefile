@@ -56,8 +56,9 @@ soak-smoke:
 ## (FuzzRead and the server-facing FuzzFromFormat), the durable
 ## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing), the
 ## coverage tracker against its string-keyed oracle (FuzzTracker), the
-## MC3 greedy against its string-keyed oracle (FuzzMC3), and the query-log
-## parser (FuzzParse).
+## MC3 greedy against its string-keyed oracle (FuzzMC3), the QK restart
+## kernels against their dense oracles (FuzzQK), and the query-log parser
+## (FuzzParse).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -65,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALRecord -fuzztime 10s ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/cover/
 	$(GO) test -run '^$$' -fuzz FuzzMC3 -fuzztime 10s ./internal/mc3/
+	$(GO) test -run '^$$' -fuzz FuzzQK -fuzztime 10s ./internal/qk/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race

@@ -275,10 +275,11 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	// Line 2: half the budget for the first round.
 	phase(g, rec, t, allowed, t.Remaining()/2+t.Cost(), opts)
 	iterations++
+	kept := false
 	if !opts.DisableMC3 {
-		mc3Improve(g, rec, t)
+		kept = !mc3Improve(g, rec, t)
 	}
-	iterations += improveLoop(g, rec, t, allowed, opts)
+	iterations += improveLoop(g, rec, t, allowed, opts, kept)
 	return finish()
 }
 
@@ -310,10 +311,11 @@ func startFloor(g *guard.Guard, rec *obs.Recorder, in *model.Instance, allowed [
 		t0 := rec.Start()
 		t2 := cover.New(in)
 		ig1Fill(g, t2)
+		kept := false
 		if !opts.DisableMC3 {
-			mc3Improve(g, rec, t2)
+			kept = !mc3Improve(g, rec, t2)
 		}
-		f.iterations = improveLoop(g, rec, t2, allowed, opts)
+		f.iterations = improveLoop(g, rec, t2, allowed, opts, kept)
 		rec.End(obs.StageGreedyFloor, t0, t2.CoveredCount())
 		f.t = t2
 	}()
@@ -325,7 +327,14 @@ func startFloor(g *guard.Guard, rec *obs.Recorder, in *model.Instance, allowed [
 // the phase gains utility nor the MC3 local search frees budget, followed
 // by an IG1-style fill of any stranded budget. It returns the number of
 // rounds executed.
-func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, opts Options) int {
+//
+// kept reports that the last thing to touch t's selection was an MC3 pass
+// that kept it. MC3 on a selection it already kept would keep it again
+// (its result depends only on the selection), so such a pass is skipped:
+// after a round whose phase added nothing (a phase changes the selection
+// exactly when it gains utility), and at the end when the fill selected
+// nothing, in which case the fill after it would select nothing either.
+func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, opts Options, kept bool) int {
 	in := t.Instance()
 	iterations := 0
 	for iterations < opts.MaxIterations && !g.Tripped() {
@@ -333,8 +342,11 @@ func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []
 		residual := in.NumQueries() - t.CoveredCount()
 		gained := phase(g, rec, t, allowed, in.Budget(), opts)
 		costBefore := t.Cost()
-		if !opts.DisableMC3 {
-			mc3Improve(g, rec, t)
+		if gained {
+			kept = false
+		}
+		if !opts.DisableMC3 && !kept {
+			kept = !mc3Improve(g, rec, t)
 		}
 		iterations++
 		rec.End(obs.StageResidual, t0, residual)
@@ -342,8 +354,10 @@ func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []
 			break
 		}
 	}
-	ig1Fill(g, t)
-	if !opts.DisableMC3 && !g.Tripped() {
+	if ig1Fill(g, t) > 0 {
+		kept = false
+	}
+	if !opts.DisableMC3 && !g.Tripped() && !kept {
 		mc3Improve(g, rec, t)
 		ig1Fill(g, t)
 	}
@@ -470,11 +484,13 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, 
 // mc3Improve re-covers the currently covered query set at minimum cost via
 // the MC3 algorithm of [23] and adopts the result if it is strictly
 // cheaper (line 3 of Algorithm 1 — a local-search step; the MC3 output is
-// discarded when not an improvement).
-func mc3Improve(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker) {
+// discarded when not an improvement). It reports whether it changed the
+// selection; when it did not, a second call on the same selection would
+// not either.
+func mc3Improve(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker) (changed bool) {
 	covered := t.CoveredQueries()
 	if len(covered) == 0 || g.Tripped() {
-		return
+		return false
 	}
 	// A panic inside MC3 forfeits this improvement, not the whole run: the
 	// tracker is only mutated after the MC3 result passed the cost check.
@@ -486,7 +502,7 @@ func mc3Improve(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker) {
 		Cost:    func(s propset.Set) float64 { return in.Cost(s) },
 	})
 	if len(out.Uncovered) > 0 || out.Cost >= t.Cost()-1e-9 {
-		return
+		return false
 	}
 	// Keep free classifiers in the selection (they cost nothing and may
 	// still help residual rounds).
@@ -497,10 +513,13 @@ func mc3Improve(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker) {
 		}
 	}
 	old := t.Clone()
+	changed = true // from here a panic may leave t part-way
 	t.Reset(sel)
 	if t.Utility() < old.Utility()-1e-9 || t.Cost() > old.Cost()+1e-9 {
 		// MC3 result unexpectedly worse (it optimizes cost for the covered
 		// set only); roll back.
 		t.CopyFrom(old)
+		return false
 	}
+	return true
 }

@@ -88,8 +88,13 @@ func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
 // budget only shrinks and a cover's cost changes only through a refresh,
 // which pushes a fresh entry, so an entry that does not fit when pushed
 // could never be selected. Under the heap's total order the entries left
-// out cannot change which of the others pops next (DESIGN.md §5).
+// out cannot change which of the others pops next (DESIGN.md §5). When
+// no unselected classifier fits at all, a budgeted loop returns before
+// pricing any cover.
 func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(cover []int32)) int {
+	if budgeted && !unselectedFits(t) {
+		return 0
+	}
 	in := t.Instance()
 	score := make([]float64, in.NumQueries())
 	covCost := make([]float64, in.NumQueries())
@@ -171,6 +176,21 @@ func IG1Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(co
 		}
 	}
 	return steps
+}
+
+// unselectedFits reports whether some classifier the tracker has not
+// selected costs no more than its remaining budget. When none does, a
+// budgeted IG1Loop would push no query: every cover of an uncovered
+// query holds an unselected classifier, and costs are non-negative, so
+// the cover costs at least that classifier's cost.
+func unselectedFits(t *cover.Tracker) bool {
+	limit := t.Remaining() + 1e-9
+	for ci, c := range t.Instance().Classifiers() {
+		if c.Cost <= limit && !t.HasIndex(ci) {
+			return true
+		}
+	}
+	return false
 }
 
 // SolveIG2 is the IG2 baseline (the greedy Set Cover of [23] adapted to

@@ -279,7 +279,7 @@ type priced struct {
 func newGreedyCover(inp Input) *greedyCover {
 	gc := &greedyCover{}
 	var key []byte
-	seen := map[string]bool{}
+	seen := make(map[string]bool, len(inp.Queries))
 	size := 0
 	for _, q := range inp.Queries {
 		if q.Len() > 30 {
@@ -299,7 +299,7 @@ func newGreedyCover(inp Input) *greedyCover {
 	flat := make([]int32, size)
 	gc.tables = make([][]int32, len(gc.queries))
 	gc.coverable = make([]bool, len(gc.queries))
-	candIdx := map[string]int32{}
+	candIdx := make(map[string]int32, size) // at most one candidate per table entry
 	for qi, q := range gc.queries {
 		full := uint32(1)<<q.Len() - 1
 		table := flat[:full:full]

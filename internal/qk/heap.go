@@ -1,5 +1,7 @@
 package qk
 
+import "math"
+
 // candidate is one entry of a greedy's heap: a node and the score it was
 // pushed with.
 type candidate struct {
@@ -11,6 +13,54 @@ type candidate struct {
 // higher score first, ties to the lower node.
 func (a candidate) before(b candidate) bool {
 	return a.score > b.score || (a.score == b.score && a.v < b.v)
+}
+
+// radixSort sorts c, which must be in ascending node order, by score:
+// descending (the canonical order) with desc, else ascending; equal
+// scores keep the lower node first. Scores must be non-negative and not
+// NaN (and not -0), so that their bit patterns order as their values
+// do. It is a stable LSD radix sort over those patterns' bytes: one pass
+// counts every byte position, and each position all scores share is
+// skipped. It uses buf (len(buf) ≥ len(c)) as its second array. A
+// comparison sort would make an indirect call per comparison; this
+// makes none.
+func radixSort(c []candidate, desc bool, buf []candidate) {
+	if len(c) < 2 {
+		return
+	}
+	var flip uint64
+	if desc {
+		flip = ^uint64(0)
+	}
+	var count [8][256]int
+	for _, e := range c {
+		k := math.Float64bits(e.score) ^ flip
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	first := math.Float64bits(c[0].score) ^ flip
+	src, dst := c, buf[:len(c)]
+	for b := range count {
+		next := &count[b]
+		if next[byte(first>>(8*b))] == len(c) {
+			continue
+		}
+		sum := 0
+		for d, k := range next {
+			next[d] = sum
+			sum += k
+		}
+		for _, e := range src {
+			d := byte((math.Float64bits(e.score) ^ flip) >> (8 * b))
+			dst[next[d]] = e
+			next[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &c[0] {
+		copy(c, src)
+	}
 }
 
 // maxHeap is a binary max-heap of candidates in canonical order, shared by

@@ -1,6 +1,8 @@
 package qk
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,5 +59,41 @@ func TestMaxHeapAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("maxHeap push+pop allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestRadixSortMatchesComparisonSort sorts random node-ordered lists
+// both ways with radixSort and with a comparison sort (score, then
+// node), on tie-heavy scores, scores that share every byte but one,
+// fractional and huge scores, zeros and +Inf.
+func TestRadixSortMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	pools := [][]float64{
+		{0, 1, 2, 3},
+		{1, 1 + 0x1p-52, 1 + 0x2p-52, 1 + 0x1p-44},
+		{0.1, 0.3, 1.0 / 3, 7.25, 1e300, 5e-324, math.Inf(1)},
+	}
+	for trial := 0; trial < 300; trial++ {
+		pool := pools[trial%len(pools)]
+		c := make([]candidate, rng.Intn(70))
+		for v := range c {
+			c[v] = candidate{v, pool[rng.Intn(len(pool))]}
+			if trial%4 == 3 {
+				c[v].score = rng.Float64() * 100
+			}
+		}
+		for _, desc := range []bool{false, true} {
+			got, want := slices.Clone(c), slices.Clone(c)
+			radixSort(got, desc, make([]candidate, len(c)))
+			slices.SortStableFunc(want, func(a, b candidate) int {
+				if desc {
+					return cmp.Compare(b.score, a.score)
+				}
+				return cmp.Compare(a.score, b.score)
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d desc %v:\n radix %v\n sort  %v", trial, desc, got, want)
+			}
+		}
 	}
 }

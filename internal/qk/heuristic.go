@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -80,9 +81,9 @@ func SolveHeuristic(g *wgraph.Graph, budget float64, opts Options) Result {
 func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts Options) (res Result) {
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
-	order := costOrder(g)
+	o := newOrders(g, budget)
 	sides := make([][]bool, opts.Iterations)
-	best := solveGreedy(g, order, budget) // safety floor
+	best := solveGreedy(g, o, budget) // safety floor
 	res = best
 
 	if n == 0 || g.NumEdges() == 0 || budget < 0 {
@@ -111,7 +112,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		affordable = affordable[:8]
 	}
 	for _, e := range affordable {
-		best = better(best, resultFor(g, greedyGrow(gu, g, order, budget, []int{e.U, e.V})))
+		best = better(best, resultFor(g, greedyGrow(gu, g, o, budget, []int{e.U, e.V})))
 	}
 
 	// Preprocessing: free nodes are always selected; nodes above the
@@ -159,7 +160,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	}
 	// Case: no expensive node in the optimum.
 	if !gu.Tripped() {
-		best = better(best, coreSolve(gu, g, order, sides, budget, budget, isExpensive, zero, opts))
+		best = better(best, coreSolve(gu, g, o, sides, budget, budget, isExpensive, zero, opts))
 	}
 	// Case: exactly one expensive node — preselect it, reduce the budget
 	// for the quadratic part (the full budget still applies to the final
@@ -172,7 +173,7 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		copy(excl, isExpensive)
 		excl[a] = false
 		pre := append(append([]int(nil), zero...), a)
-		best = better(best, coreSolve(gu, g, order, sides, budget-g.Cost(a), budget, excl, pre, opts))
+		best = better(best, coreSolve(gu, g, o, sides, budget-g.Cost(a), budget, excl, pre, opts))
 	}
 	res = best
 	return res
@@ -181,14 +182,14 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 // coreSolve runs the bipartition/blow-up/HkS pipeline on the instance with
 // the given exclusions and preselected (treated-as-free) nodes. budget
 // bounds the quadratic part; fullBudget (≥ budget plus the preselected
-// cost) bounds the final completed solutions. order is g's cost order
-// (costOrder), shared by every completion. sides[iter] is restart iter's
+// cost) bounds the final completed solutions. o is g's orders
+// (newOrders), shared by every completion. sides[iter] is restart iter's
 // random bipartition (drawSide), drawn by the first case that runs the
 // restart and reused by the later cases of the same call: it depends only
 // on the seed, iter and n. Cases run one after another and each waits for
 // its workers, and within a case each restart belongs to one worker, so
 // the slots need no lock.
-func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
+func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
 	n := g.NumNodes()
 	preMark := make([]bool, n)
 	for _, v := range pre {
@@ -211,7 +212,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, bu
 		anyActive = true
 	}
 	if !anyActive || budget <= 0 {
-		return resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
+		return resultFor(g, greedyGrow(gu, g, o, fullBudget, pre))
 	}
 
 	// Integerize costs: c′(v) = max(1, ⌈c(v)·f⌉) with f chosen so that
@@ -249,7 +250,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, bu
 	}
 	intBudget := int(math.Floor(budget*f + 1e-12))
 	if intBudget < 2 {
-		return resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
+		return resultFor(g, greedyGrow(gu, g, o, fullBudget, pre))
 	}
 
 	// Per-node linear bonus: edges into preselected nodes contribute
@@ -266,7 +267,8 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, bu
 		})
 	}
 
-	best := resultFor(g, greedyGrow(gu, g, order, fullBudget, pre))
+	best := resultFor(g, greedyGrow(gu, g, o, fullBudget, pre))
+	cc := newCountCase(g, active, cint, bonus)
 
 	// The paper runs the log n bipartition iterations in parallel; each
 	// iteration only reads the shared graph and derives its own RNG, so a
@@ -300,16 +302,18 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, bu
 			if sides[iter] == nil {
 				sides[iter] = drawSide(opts.Seed, iter, n)
 			}
-			st := newCountState(g, active, sides[iter], cint, bonus)
+			st := cc.state(sides[iter])
 			k := intBudget / 2
 			st.greedyFill(gu, k)
 			st.localSearch(gu, opts.LocalSearchRounds)
 			st.refill(true)  // L side, by per-copy degree desc
 			st.refill(false) // R side
+			cands := st.finalize(intBudget)
+			st.release()
 			var iterBest Result
-			for _, cand := range st.finalize(intBudget) {
+			for _, cand := range cands {
 				nodes := append(append([]int(nil), pre...), cand...)
-				nodes = greedyGrow(gu, g, order, fullBudget, nodes)
+				nodes = greedyGrow(gu, g, o, fullBudget, nodes)
 				iterBest = better(iterBest, resultFor(g, nodes))
 			}
 			results[iter] = iterBest
@@ -325,12 +329,61 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, order []int, sides [][]bool, bu
 // drawSide returns restart iter's random bipartition of n nodes (true =
 // L side).
 func drawSide(seed int64, iter, n int) []bool {
-	rng := rand.New(rand.NewSource(seed + int64(iter)*7919))
+	// rand.Rand's Intn(2) is Int31()&1, and Int31 is the source's
+	// Int63()>>32: side v is the bit rand.New(src).Intn(2) would draw,
+	// without the three calls per node.
+	src := rand.NewSource(seed + int64(iter)*7919)
 	side := make([]bool, n)
 	for v := range side {
-		side[v] = rng.Intn(2) == 0
+		side[v] = src.Int63()>>32&1 == 0
 	}
 	return side
+}
+
+// countCase is one case of coreSolve as its restarts share it
+// read-only: the active nodes, their copy counts and linear bonuses, and
+// order, every active node by bonus[v]/c[v] descending, ties to the
+// lower node. That ratio is the per-copy degree, and the HkS fill's
+// gain, of a node none of whose neighbours across the bipartition holds
+// a selected copy; it does not depend on the restart's bipartition, so
+// one sort serves every restart (DESIGN.md §5).
+type countCase struct {
+	g      *wgraph.Graph
+	active []bool
+	c      []int // copies per node
+	bonus  []float64
+	order  []candidate
+}
+
+// newCountCase builds a case's order. Nodes with a zero ratio need no
+// sort: they follow the others in node order, which is their canonical
+// order.
+func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *countCase {
+	nActive, nPos := 0, 0
+	for v, a := range active {
+		if a {
+			nActive++
+			if bonus[v]/float64(c[v]) > 0 {
+				nPos++
+			}
+		}
+	}
+	order := make([]candidate, nActive)
+	pos, zero := 0, nPos // the next slot for each kind
+	for v, a := range active {
+		if !a {
+			continue
+		}
+		if r := bonus[v] / float64(c[v]); r > 0 {
+			order[pos] = candidate{v, r}
+			pos++
+		} else {
+			order[zero] = candidate{v, r}
+			zero++
+		}
+	}
+	radixSort(order[:nPos], true, make([]candidate, nPos))
+	return &countCase{g: g, active: active, c: c, bonus: bonus, order: order}
 }
 
 // countState is the implicit blow-up graph Ĝ: every active node v stands
@@ -338,21 +391,80 @@ func drawSide(seed int64, iter, n int) []bool {
 // weight w(u,v)/(c′(u)·c′(v)). Selecting s(v) copies of every node
 // reproduces the HkS solution on Ĝ without materializing it, which is what
 // makes the blow-up scale (copies of a node are interchangeable).
+//
+// A node is touched when a node across the bipartition holds selected
+// copies (or, during the fill, once it holds some itself); every other
+// node's per-copy degree is its ratio on the case's order. The fill, the
+// local search and the refill price only touched nodes and walk the
+// order for the rest.
 type countState struct {
-	g      *wgraph.Graph
-	active []bool
-	side   []bool // true = L
-	c      []int  // copies per node
-	s      []int  // selected copies
-	bonus  []float64
+	*countCase
+	side []bool // true = L
+	s    []int  // selected copies
+	// sel lists, once each, the nodes that have held copies since the
+	// last refill (held marks them), so that no kernel scans every node
+	// for the few that hold copies. A state from newCountState may have
+	// s set directly until the first kernel indexes it (direct).
+	sel    []int
+	held   []bool
+	direct bool
+
+	// Scratch, kept across restarts through the counters pool.
+	gain    []float64 // the fill's gains, live where mark is set
+	mark    []bool
+	touched []int
+	heap    maxHeap
 }
 
+var counters = sync.Pool{New: func() any { return new(countState) }}
+
+// state returns a restart's count state on bipartition side, with no
+// copy selected and its scratch from the counters pool.
+func (cc *countCase) state(side []bool) *countState {
+	st := counters.Get().(*countState)
+	st.countCase, st.side = cc, side
+	reset(&st.s, cc.g.NumNodes())
+	reset(&st.held, cc.g.NumNodes())
+	st.sel, st.direct = st.sel[:0], false
+	return st
+}
+
+// newCountState is the count state of a case of its own, for a caller
+// that runs one restart. Its copy counts may be set directly before the
+// first kernel runs on it.
 func newCountState(g *wgraph.Graph, active, side []bool, c []int, bonus []float64) *countState {
-	return &countState{
-		g: g, active: active, side: side, c: c,
-		s:     make([]int, g.NumNodes()),
-		bonus: bonus,
+	st := newCountCase(g, active, c, bonus).state(side)
+	st.direct = true
+	return st
+}
+
+// index lists the nodes holding copies in sel, once, for a state whose
+// counts were set directly.
+func (st *countState) index() {
+	if !st.direct {
+		return
 	}
+	st.direct = false
+	for v, sv := range st.s {
+		if sv > 0 {
+			st.hold(v)
+		}
+	}
+}
+
+// hold lists v in sel unless it is there already; call it whenever v
+// may hold copies.
+func (st *countState) hold(v int) {
+	if !st.held[v] {
+		st.held[v] = true
+		st.sel = append(st.sel, v)
+	}
+}
+
+// release returns st's scratch to the pool; st must not be used after.
+func (st *countState) release() {
+	st.countCase, st.side = nil, nil
+	counters.Put(st)
 }
 
 // perCopyDeg is the weighted degree of one copy of v into the currently
@@ -387,10 +499,11 @@ func (st *countState) weight() float64 {
 }
 
 func (st *countState) totalSelected() int {
+	st.index()
 	t := 0
-	for v, sv := range st.s {
+	for _, v := range st.sel {
 		if st.active[v] {
-			t += sv
+			t += st.s[v]
 		}
 	}
 	return t
@@ -398,39 +511,66 @@ func (st *countState) totalSelected() int {
 
 // greedyFill places up to k unit copies, one at a time, always choosing
 // the copy with the maximum marginal per-copy degree, ties to the lower
-// node (lazy max-heap in canonical order). Gains only grow and every
-// change pushes an entry at the new gain, so an entry below its node's
-// current gain is stale and dropped. When no positive gain exists it
-// seeds with the cross-edge of the highest per-copy-pair weight.
+// node. Gains only grow. An untouched node's gain is its ratio, so the
+// fill walks the case's order for those and keeps a lazy max-heap in
+// canonical order for the touched ones: every gain change pushes an
+// entry at the new gain, so an entry below its node's current gain is
+// stale and dropped. Each step takes the better of the heap's top and
+// the first untouched node with a positive ratio. When no positive gain
+// exists it seeds with the cross-edge of the highest per-copy-pair
+// weight.
 func (st *countState) greedyFill(gu *guard.Guard, k int) {
-	gain := make([]float64, len(st.s))
-	var h maxHeap
-	for v := range st.s {
-		if st.active[v] {
+	st.index()
+	n := len(st.s)
+	gain := grow(&st.gain, n)
+	mark := reset(&st.mark, n)
+	h := st.heap[:0]
+	defer func() { st.heap = h }()
+	touch := func(v int) {
+		if !mark[v] {
+			mark[v] = true
 			gain[v] = st.bonus[v] / float64(st.c[v])
-			if gain[v] > 0 {
-				h = append(h, candidate{v, gain[v]})
-			}
 		}
 	}
-	h.init()
+	place := func(v int) {
+		st.s[v]++
+		st.hold(v)
+		st.g.Neighbors(v, func(u int, w float64, _ int) {
+			if st.active[u] && st.side[u] != st.side[v] {
+				touch(u)
+				gain[u] += w / (float64(st.c[u]) * float64(st.c[v]))
+				if st.s[u] < st.c[u] {
+					h.push(candidate{u, gain[u]})
+				}
+			}
+		})
+		touch(v)
+		if st.s[v] < st.c[v] {
+			h.push(candidate{v, gain[v]})
+		}
+	}
+	order, walk := st.order, 0
 	placed := 0
 	for placed < k {
 		if gu.Check() {
 			return
 		}
+		for len(h) > 0 && (st.s[h[0].v] >= st.c[h[0].v] || h[0].score != gain[h[0].v]) {
+			h.pop()
+		}
+		for walk < len(order) && mark[order[walk].v] {
+			walk++
+		}
 		v := -1
-		for len(h) > 0 {
-			it := h.pop()
-			if st.s[it.v] >= st.c[it.v] || it.score != gain[it.v] {
-				continue
-			}
-			if it.score <= 0 {
+		switch {
+		case walk < len(order) && order[walk].score > 0 && (len(h) == 0 || order[walk].before(h[0])):
+			v = order[walk].v
+		case len(h) > 0:
+			if it := h.pop(); it.score > 0 {
+				v = it.v
+			} else {
 				h = h[:0]
-				break
 			}
-			v = it.v
-			break
 		}
 		if v < 0 {
 			// Seed: best cross edge with both endpoints addable.
@@ -451,44 +591,71 @@ func (st *countState) greedyFill(gu *guard.Guard, k int) {
 			if bu < 0 || placed+2 > k {
 				break
 			}
-			st.place(bu, gain, &h)
-			st.place(bv, gain, &h)
+			place(bu)
+			place(bv)
 			placed += 2
 			continue
 		}
-		st.place(v, gain, &h)
+		place(v)
 		placed++
 	}
 }
 
-func (st *countState) place(v int, gain []float64, h *maxHeap) {
-	st.s[v]++
-	st.g.Neighbors(v, func(u int, w float64, _ int) {
-		if st.active[u] && st.side[u] != st.side[v] {
-			gain[u] += w / (float64(st.c[u]) * float64(st.c[v]))
-			if st.s[u] < st.c[u] {
-				h.push(candidate{u, gain[u]})
-			}
+// markTouched marks every active node with an active neighbour across
+// the bipartition that holds selected copies, and returns them: the
+// nodes whose per-copy degree is not their ratio.
+func (st *countState) markTouched() []int {
+	mark := reset(&st.mark, len(st.s))
+	touched := st.touched[:0]
+	for _, u := range st.sel {
+		if st.s[u] <= 0 || !st.active[u] {
+			continue
 		}
-	})
-	if st.s[v] < st.c[v] {
-		h.push(candidate{v, gain[v]})
+		st.g.Neighbors(u, func(v int, _ float64, _ int) {
+			if !mark[v] && st.active[v] && st.side[v] != st.side[u] {
+				mark[v] = true
+				touched = append(touched, v)
+			}
+		})
 	}
+	st.touched = touched
+	return touched
+}
+
+// improvable reports whether an active node with a free copy has a
+// per-copy degree above bar, pricing only the touched nodes: an
+// untouched node's degree is its ratio, and the first eligible one on
+// the case's order has the largest.
+func (st *countState) improvable(bar float64) bool {
+	for _, v := range st.markTouched() {
+		if st.s[v] < st.c[v] && st.perCopyDeg(v) > bar {
+			return true
+		}
+	}
+	for _, e := range st.order {
+		if !st.mark[e.v] && st.s[e.v] < st.c[e.v] {
+			return e.score > bar
+		}
+	}
+	return false
 }
 
 // localSearch moves single units between nodes while that improves the
-// count-space weight.
+// count-space weight. A round first decides whether any move improves,
+// which improvable answers exactly from the touched nodes and the case's
+// order; only then does it scan every node for the move, in node order.
 func (st *countState) localSearch(gu *guard.Guard, rounds int) {
+	st.index()
 	n := len(st.s)
 	for round := 0; round < rounds; round++ {
 		if gu.Check() {
 			return
 		}
-		// Weakest selected unit.
+		// Weakest selected unit, ties to the lower node.
 		worst, worstD := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
+		for _, v := range st.sel {
 			if st.active[v] && st.s[v] > 0 {
-				if d := st.perCopyDeg(v); d < worstD {
+				if d := st.perCopyDeg(v); d < worstD || (d == worstD && v < worst) {
 					worst, worstD = v, d
 				}
 			}
@@ -497,6 +664,10 @@ func (st *countState) localSearch(gu *guard.Guard, rounds int) {
 			break
 		}
 		st.s[worst]--
+		if !st.improvable(worstD + 1e-12) {
+			st.s[worst]++
+			break
+		}
 		bestV, bestD := -1, worstD
 		for v := 0; v < n; v++ {
 			if st.active[v] && st.s[v] < st.c[v] {
@@ -505,11 +676,8 @@ func (st *countState) localSearch(gu *guard.Guard, rounds int) {
 				}
 			}
 		}
-		if bestV < 0 {
-			st.s[worst]++
-			break
-		}
 		st.s[bestV]++
+		st.hold(bestV)
 	}
 }
 
@@ -522,59 +690,81 @@ func (st *countState) localSearch(gu *guard.Guard, rounds int) {
 // is the best achievable arrangement; swap_test.go compares it against a
 // literal implementation of the paper's phases.
 //
-// The side's nodes go into a maxHeap keyed by per-copy degree, whose
-// canonical order (degree desc, node asc) is the total order a full sort
-// would use, so popping until the units run out fills the same nodes as
-// the sorted prefix; a side holds far more nodes than its units fill.
 // Zeroing the side first does not move any of its degrees: a copy's
-// degree counts only copies on the opposite side.
+// degree counts only copies on the opposite side. So after it, the
+// touched nodes are exactly the side's nodes with a selected neighbour
+// across; they go into a maxHeap keyed by per-copy degree, and the rest
+// come from the case's order, whose canonical order (degree desc, node
+// asc) is the heap's. Filling from the better of the two until the units
+// run out fills the nodes, and leaves the copy counts, that a full sort
+// of the side would.
 func (st *countState) refill(left bool) {
-	units, nodes := 0, 0
-	for v := range st.s {
+	st.index()
+	units, kept := 0, st.sel[:0]
+	for _, v := range st.sel {
 		if st.active[v] && st.side[v] == left {
 			units += st.s[v]
 			st.s[v] = 0
-			nodes++
+		}
+		if st.s[v] > 0 {
+			kept = append(kept, v)
+		} else {
+			st.held[v] = false
 		}
 	}
+	st.sel = kept
 	if units == 0 {
 		return
 	}
-	h := make(maxHeap, 0, nodes)
-	for v := range st.s {
-		if st.active[v] && st.side[v] == left {
-			h = append(h, candidate{v, st.perCopyDeg(v)})
-		}
+	h := st.heap[:0]
+	for _, v := range st.markTouched() {
+		h = append(h, candidate{v, st.perCopyDeg(v)})
 	}
 	h.init()
-	for units > 0 && len(h) > 0 {
-		v := h.pop().v
+	order, walk := st.order, 0
+	for units > 0 {
+		for walk < len(order) && (st.side[order[walk].v] != left || st.mark[order[walk].v]) {
+			walk++
+		}
+		var v int
+		if walk < len(order) && (len(h) == 0 || order[walk].before(h[0])) {
+			v = order[walk].v
+			walk++
+		} else if len(h) > 0 {
+			v = h.pop().v
+		} else {
+			break
+		}
 		take := min(st.c[v], units)
 		st.s[v] = take
+		st.hold(v)
 		units -= take
 	}
+	st.heap = h
 }
 
 // finalize applies the Theorem 4.7 final-selection analysis and returns
 // candidate node sets (in original node IDs) to be evaluated by the
 // caller. Every candidate consists of completely selected nodes only.
 func (st *countState) finalize(intBudget int) [][]int {
-	n := len(st.s)
+	st.index()
 	partials := make([]int, 0, 2)
-	for v := 0; v < n; v++ {
+	for _, v := range st.sel {
 		if st.active[v] && st.s[v] > 0 && st.s[v] < st.c[v] {
 			partials = append(partials, v)
 		}
 	}
+	slices.Sort(partials)
 	remaining := intBudget - st.totalSelected()
 
 	complete := func() []int {
 		var out []int
-		for v := 0; v < n; v++ {
+		for _, v := range st.sel {
 			if st.active[v] && st.s[v] == st.c[v] {
 				out = append(out, v)
 			}
 		}
+		slices.Sort(out)
 		return out
 	}
 

@@ -23,9 +23,7 @@
 package qk
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -76,122 +74,234 @@ func better(a, b Result) Result {
 // baseline reported in the experiments and the safety floor inside
 // SolveHeuristic.
 func SolveGreedy(g *wgraph.Graph, budget float64) Result {
-	return solveGreedy(g, costOrder(g), budget)
+	return solveGreedy(g, newOrders(g, budget), budget)
 }
 
-// solveGreedy is SolveGreedy with g's cost order (costOrder) supplied by
-// a caller that shares it with other completions on the same graph.
-func solveGreedy(g *wgraph.Graph, order []int, budget float64) Result {
+// solveGreedy is SolveGreedy with g's orders (newOrders) supplied by a
+// caller that shares them with other completions on the same graph.
+func solveGreedy(g *wgraph.Graph, o *orders, budget float64) Result {
 	var free []int
 	for v := 0; v < g.NumNodes(); v++ {
 		if g.Cost(v) == 0 {
 			free = append(free, v)
 		}
 	}
-	return resultFor(g, greedyGrow(nil, g, order, budget, free))
+	return resultFor(g, greedyGrow(nil, g, o, budget, free))
 }
 
-// costOrder returns g's nodes by ascending cost, ties to the lower node:
-// the order in which greedyGrow looks for the cheapest node it may still
-// add. Solvers build it once per graph and share it read-only with every
-// completion and restart worker.
-func costOrder(g *wgraph.Graph) []int {
-	order := make([]int, g.NumNodes())
-	for v := range order {
-		order[v] = v
+// orders is what every greedy completion of one QK call shares
+// read-only: per-node bootstrap scores and weights into the zero-cost
+// nodes, and three node orders that the completions walk instead of
+// pricing every node. Solvers build it once per graph and budget
+// (newOrders) and share it with every completion and restart worker.
+//
+// A node none of whose neighbours a completion has selected, beyond a
+// base set, scores a constant that depends only on the graph: its
+// weight into the zero-cost nodes when the start holds all of them
+// (withFree), or else its bootstrap score (bootOnly). Every order leaves
+// out the nodes that cost more than the budget, which no completion of
+// the call can add.
+type orders struct {
+	nFree int       // number of zero-cost nodes
+	boot  []float64 // per node: its heaviest incident weight / 4
+	free  []float64 // per node: its weight into the zero-cost nodes, summed in edge order
+	// cost holds the nodes by ascending cost (the key), ties to the lower
+	// node: the order in which greedyGrow looks for the cheapest node it
+	// may still add.
+	cost []candidate
+	// withFree and bootOnly hold the nodes with a positive score by that
+	// score in canonical order (score desc, node asc). withFree scores a
+	// node with every zero-cost node selected and leaves those out.
+	withFree, bootOnly []candidate
+}
+
+// newOrders builds g's orders for completions within budget: one pass
+// over the edges for the per-node weights, one over the nodes for the
+// (key, node) pairs, then a radix sort of each list.
+func newOrders(g *wgraph.Graph, budget float64) *orders {
+	n := g.NumNodes()
+	o := &orders{
+		boot: make([]float64, n), free: make([]float64, n),
+		cost: make([]candidate, 0, n), bootOnly: make([]candidate, 0, n), withFree: make([]candidate, 0, n),
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(g.Cost(a), g.Cost(b)), cmp.Compare(a, b))
-	})
-	return order
+	for _, e := range g.Edges() {
+		zu, zv := g.Cost(e.U) == 0, g.Cost(e.V) == 0
+		if zu && !zv {
+			o.free[e.V] += e.W
+		}
+		if zv && !zu {
+			o.free[e.U] += e.W
+		}
+		if e.W/4 > o.boot[e.U] {
+			o.boot[e.U] = e.W / 4
+		}
+		if e.W/4 > o.boot[e.V] {
+			o.boot[e.V] = e.W / 4
+		}
+	}
+	for v := 0; v < n; v++ {
+		c := g.Cost(v)
+		if c == 0 {
+			o.nFree++
+		}
+		if !(c <= budget+1e-9) {
+			continue
+		}
+		o.cost = append(o.cost, candidate{v, math.Abs(c)}) // -0 sorts as 0
+		if sc := growScore(0, o.boot[v], c); sc > 0 {
+			o.bootOnly = append(o.bootOnly, candidate{v, sc})
+		}
+		if sc := growScore(o.free[v], o.boot[v], c); sc > 0 && c != 0 {
+			o.withFree = append(o.withFree, candidate{v, sc})
+		}
+	}
+	buf := make([]candidate, len(o.cost))
+	radixSort(o.cost, false, buf)
+	radixSort(o.bootOnly, true, buf)
+	if o.nFree == 0 {
+		o.withFree = o.bootOnly // no weight into zero-cost nodes: the same scores
+	} else {
+		radixSort(o.withFree, true, buf)
+	}
+	return o
+}
+
+// growScore is a completion's score for a node of cost c whose weight
+// into the selection is gain: gain per cost, or the bootstrap score boot
+// per cost while gain is 0.
+func growScore(gain, boot, c float64) float64 {
+	if gain == 0 {
+		gain = boot
+	}
+	if gain <= 0 {
+		return 0
+	}
+	return gain / math.Max(c, 1e-9)
 }
 
 // greedyGrow extends start (taken as already selected, its cost counted)
 // with the best marginal weight-per-cost additions until the budget is
 // exhausted, taking at each step the first node in canonical order
-// (score desc, node asc) among those that still fit. Every gain change
-// pushes an entry at the new score, so a popped entry whose score has
-// moved is stale and dropped. The remaining budget only shrinks, so a
-// node that does not fit is never pushed and is dropped on pop once it
-// stops fitting; under a total order that cannot change which fitting
-// node pops next (DESIGN.md §5).
+// (score desc, node asc) among those that still fit: the budgeted greedy
+// of Feldman & Nutov.
 //
-// order is g's cost order (costOrder). The loop stops as soon as the
-// cheapest node that is unselected and has a positive score no longer
-// fits: the budget only shrinks, and with non-negative weights a node
-// scores 0 only when it has no positive-weight edge, so it never gains a
-// score; no later pop could add a node.
-func greedyGrow(gu *guard.Guard, g *wgraph.Graph, order []int, budget float64, start []int) []int {
+// It prices only the nodes the selection touches (DESIGN.md §5). With
+// every zero-cost node in start, those nodes form the base set and an
+// untouched node scores its withFree score; otherwise the base set is
+// empty and it scores its bootstrap score. The neighbours of start's
+// nodes outside the base set are priced from their adjacency lists,
+// which are in edge order, so their gains have the bits an edge scan
+// gives. Touched nodes live in a lazy max-heap: every gain change pushes
+// an entry at the new score, so a popped entry whose score has moved is
+// stale and dropped. Each step takes the better of the heap's top and
+// the first untouched node of the static order, under the same total
+// order. The remaining budget only shrinks, so a node that does not fit
+// is never pushed, is dropped once it stops fitting, and is passed over
+// for good on the static walk.
+//
+// The loop stops as soon as the cheapest node on o.cost that is
+// unselected and has a positive score no longer fits: the budget only
+// shrinks, and with non-negative weights a node scores 0 only when it
+// has no positive-weight edge, so it never gains a score; no later step
+// could add a node.
+func greedyGrow(gu *guard.Guard, g *wgraph.Graph, o *orders, budget float64, start []int) []int {
 	s := growers.Get().(*grower)
 	n := g.NumNodes()
 	in := reset(&s.in, n)
-	gain := reset(&s.gain, n)
-	boot := reset(&s.boot, n)
+	touched := reset(&s.touched, n)
+	gain := grow(&s.gain, n) // gain[v] is live only where touched[v]
 	var cost float64
 	out := make([]int, 0, len(start))
+	free := 0
 	for _, v := range start {
 		if !in[v] {
 			in[v] = true
 			cost += g.Cost(v)
 			out = append(out, v)
-		}
-	}
-	for _, e := range g.Edges() {
-		switch {
-		case in[e.U] && !in[e.V]:
-			gain[e.V] += e.W
-		case in[e.V] && !in[e.U]:
-			gain[e.U] += e.W
-		}
-		if e.W/4 > boot[e.U] {
-			boot[e.U] = e.W / 4
-		}
-		if e.W/4 > boot[e.V] {
-			boot[e.V] = e.W / 4
-		}
-	}
-	score := func(v int) float64 {
-		gv := gain[v]
-		if gv == 0 {
-			gv = boot[v]
-		}
-		if gv <= 0 {
-			return 0
-		}
-		return gv / math.Max(g.Cost(v), 1e-9)
-	}
-	fits := func(v int) bool { return g.Cost(v) <= budget-cost+1e-9 }
-	h := s.heap[:0]
-	for v := 0; v < n; v++ {
-		if !in[v] && fits(v) {
-			if sc := score(v); sc > 0 {
-				h = append(h, candidate{v, sc})
+			if g.Cost(v) == 0 {
+				free++
 			}
 		}
 	}
+	static, base := o.bootOnly, []float64(nil)
+	if free == o.nFree {
+		static, base = o.withFree, o.free
+	}
+	// baseGain is an untouched node's weight into the selection.
+	baseGain := func(v int) float64 {
+		if base == nil {
+			return 0
+		}
+		return base[v]
+	}
+	score := func(v int) float64 {
+		if touched[v] {
+			return growScore(gain[v], o.boot[v], g.Cost(v))
+		}
+		return growScore(baseGain(v), o.boot[v], g.Cost(v))
+	}
+	fits := func(v int) bool { return g.Cost(v) <= budget-cost+1e-9 }
+	h := s.heap[:0]
+	for _, v := range out {
+		if base != nil && g.Cost(v) == 0 {
+			continue // its weight is in every node's base gain
+		}
+		g.Neighbors(v, func(u int, _ float64, _ int) {
+			if in[u] || touched[u] {
+				return
+			}
+			touched[u] = true
+			var sum float64
+			g.Neighbors(u, func(x int, w float64, _ int) {
+				if in[x] {
+					sum += w
+				}
+			})
+			gain[u] = sum
+			if sc := score(u); sc > 0 && fits(u) {
+				h = append(h, candidate{u, sc})
+			}
+		})
+	}
 	h.init()
-	next := 0 // order[next:] holds every node that may still be added
-	for len(h) > 0 {
-		for next < len(order) && (in[order[next]] || score(order[next]) == 0) {
+	next := 0 // o.cost[next:] holds every node that may still be added
+	walk := 0 // static[walk:] holds every untouched node that may still be added
+	for {
+		for next < len(o.cost) && (in[o.cost[next].v] || score(o.cost[next].v) == 0) {
 			next++
 		}
-		if next == len(order) || !fits(order[next]) || gu.Check() {
+		if next == len(o.cost) || !fits(o.cost[next].v) || gu.Check() {
 			break
 		}
-		e := h.pop()
-		v := e.v
-		if in[v] || e.score != score(v) || !fits(v) {
-			continue
+		for len(h) > 0 && (in[h[0].v] || h[0].score != score(h[0].v) || !fits(h[0].v)) {
+			h.pop()
+		}
+		for walk < len(static) && (in[static[walk].v] || touched[static[walk].v] || !fits(static[walk].v)) {
+			walk++
+		}
+		var v int
+		if walk < len(static) && (len(h) == 0 || static[walk].before(h[0])) {
+			v = static[walk].v
+			walk++
+		} else if len(h) > 0 {
+			v = h.pop().v
+		} else {
+			break
 		}
 		in[v] = true
 		cost += g.Cost(v)
 		out = append(out, v)
 		g.Neighbors(v, func(u int, w float64, _ int) {
-			if !in[u] {
-				gain[u] += w
-				if sc := score(u); sc > 0 && fits(u) {
-					h.push(candidate{u, sc})
-				}
+			if in[u] {
+				return
+			}
+			if !touched[u] {
+				touched[u] = true
+				gain[u] = baseGain(u)
+			}
+			gain[u] += w
+			if sc := score(u); sc > 0 && fits(u) {
+				h.push(candidate{u, sc})
 			}
 		})
 	}
@@ -204,9 +314,9 @@ func greedyGrow(gu *guard.Guard, g *wgraph.Graph, order []int, budget float64, s
 // backing slice, kept across calls. Restart workers complete candidates
 // concurrently, so growers come from a pool.
 type grower struct {
-	in         []bool
-	gain, boot []float64
-	heap       maxHeap
+	in, touched []bool
+	gain        []float64
+	heap        maxHeap
 }
 
 var growers = sync.Pool{New: func() any { return new(grower) }}
@@ -220,6 +330,16 @@ func reset[T any](buf *[]T, n int) []T {
 		*buf = (*buf)[:n]
 		clear(*buf)
 	}
+	return *buf
+}
+
+// grow is reset without the clearing, for arrays whose stale entries
+// are never read.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
 	return *buf
 }
 

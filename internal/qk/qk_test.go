@@ -244,40 +244,85 @@ func tieQK(rng *rand.Rand) *wgraph.Graph {
 	return g
 }
 
-// TestGreedyGrowMatchesReference requires the heap kernel to select the
-// same nodes in the same order as the heap-free oracle, on random graphs
-// at budgets from 0 to the total cost, with and without a start set. Two
-// budgets land exactly on a cost boundary: the summed cost of a random
-// node subset, and that of a prefix of the cost order.
+// TestGreedyGrowMatchesReference requires the kernel to select the same
+// nodes in the same order as the heap-free oracle, on random graphs at
+// budgets from 0 to the total cost, from an empty start, a random start,
+// a start holding every zero-cost node (whose untouched nodes score on
+// the withFree order) and one holding only some of them. Two budgets
+// land exactly on a cost boundary: the summed cost of a random node
+// subset, and that of a prefix of the cost order.
 func TestGreedyGrowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 300; trial++ {
 		g := tieQK(rng)
 		n := g.NumNodes()
-		order := costOrder(g)
 		total, subset, prefix := 0.0, 0.0, 0.0
 		cut := rng.Intn(n + 1)
-		for i, v := range order {
-			total += g.Cost(v)
+		for i, e := range newOrders(g, math.Inf(1)).cost {
+			total += g.Cost(e.v)
 			if rng.Intn(2) == 0 {
-				subset += g.Cost(v)
+				subset += g.Cost(e.v)
 			}
 			if i < cut {
-				prefix += g.Cost(v)
+				prefix += g.Cost(e.v)
 			}
 		}
 		budgets := []float64{0, total, float64(rng.Intn(int(total) + 1)), rng.Float64() * total, subset, prefix}
-		var start []int
-		for i := rng.Intn(4); i > 0; i-- {
-			start = append(start, rng.Intn(n)) // repeats allowed
-		}
 		for _, b := range budgets {
-			for _, st := range [][]int{nil, start} {
-				got := greedyGrow(nil, g, order, b, st)
+			o := newOrders(g, b)
+			for _, st := range growStarts(rng, g) {
+				got := greedyGrow(nil, g, o, b, st)
 				want := referenceGrow(g, b, st)
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d (n=%d, m=%d) budget %v start %v:\n kernel %v\n oracle %v",
 						trial, n, g.NumEdges(), b, st, got, want)
+				}
+			}
+		}
+	}
+}
+
+// growStarts returns the completion starts the kernel tests use on g:
+// none, up to three random nodes (repeats allowed), those plus every
+// zero-cost node, and those plus all zero-cost nodes but one, shuffled.
+func growStarts(rng *rand.Rand, g *wgraph.Graph) [][]int {
+	n := g.NumNodes()
+	var start, zero []int
+	for i := rng.Intn(4); i > 0; i-- {
+		start = append(start, rng.Intn(n))
+	}
+	for v := 0; v < n; v++ {
+		if g.Cost(v) == 0 {
+			zero = append(zero, v)
+		}
+	}
+	all := append(slices.Clone(start), zero...)
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	starts := [][]int{nil, start, all}
+	if len(zero) > 0 {
+		drop := zero[rng.Intn(len(zero))]
+		var some []int
+		for _, v := range all {
+			if v != drop {
+				some = append(some, v)
+			}
+		}
+		starts = append(starts, some)
+	}
+	return starts
+}
+
+// TestDrawSideMatchesIntn pins drawSide to the bipartitions that
+// rand.New(rand.NewSource(seed)).Intn(2) draws, which fix every
+// restart's plan.
+func TestDrawSideMatchesIntn(t *testing.T) {
+	for _, seed := range []int64{1, 5, -3, 1 << 40} {
+		for iter := 0; iter < 4; iter++ {
+			got := drawSide(seed, iter, 500)
+			rng := rand.New(rand.NewSource(seed + int64(iter)*7919))
+			for v, l := range got {
+				if want := rng.Intn(2) == 0; l != want {
+					t.Fatalf("seed %d iter %d node %d: side %v, want %v", seed, iter, v, l, want)
 				}
 			}
 		}

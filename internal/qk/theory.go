@@ -23,8 +23,8 @@ import (
 func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
-	order := costOrder(g)
-	best := solveGreedy(g, order, budget)
+	o := newOrders(g, budget)
+	best := solveGreedy(g, o, budget)
 	if n == 0 || g.NumEdges() == 0 || budget <= 0 {
 		return best
 	}
@@ -75,7 +75,7 @@ func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 		}
 		cheap = kept
 	}
-	best = better(best, resultFor(g, greedyGrow(nil, g, order, budget, cheap)))
+	best = better(best, resultFor(g, greedyGrow(nil, g, o, budget, cheap)))
 
 	classOf := func(x float64) int {
 		if x <= 1 {
@@ -115,7 +115,7 @@ func SolveTheory(g *wgraph.Graph, budget float64, opts Options) Result {
 			cand = solveBipartiteClass(g, edges, budget, opts)
 		}
 		if len(cand) > 0 {
-			cand = greedyGrow(nil, g, order, budget, cand)
+			cand = greedyGrow(nil, g, o, budget, cand)
 			best = better(best, resultFor(g, cand))
 		}
 	}

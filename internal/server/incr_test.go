@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -167,6 +168,51 @@ func TestWarmSolveHoldsFloorPastDeadline(t *testing.T) {
 	}
 	if got := s.Statz().Incr.FloorFallbacks; got != 1 {
 		t.Errorf("floor fallbacks = %d, want 1", got)
+	}
+}
+
+// A warm request that joins an identical request's in-flight solve and
+// whose deadline runs out while it waits must still answer at or above
+// the IG1 floor: it answers from a solve of its own on its expired
+// context, which the registry holds to the floor. It used to answer the
+// empty plan.
+func TestSharedWaiterPastDeadlineHoldsFloor(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	release := make(chan struct{})
+	guard.Arm("server.pool.dequeue", func() { <-release })
+	defer guard.DisarmAll()
+
+	warm := [][]string{{"wooden"}, {"table"}}
+	leader := make(chan *Error, 1)
+	go func() {
+		_, apiErr := s.Solve(context.Background(), &SolveRequest{Instance: quickstartFormat(3), WarmPlan: warm})
+		leader <- apiErr
+	}()
+	for s.inflight.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	resp, apiErr := s.Solve(context.Background(), &SolveRequest{
+		Instance: quickstartFormat(3), WarmPlan: warm, DeadlineMS: 20,
+	})
+	close(release)
+	if apiErr != nil {
+		t.Fatalf("waiter: %v", apiErr)
+	}
+	if err := <-leader; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if got := s.cache.Stats().SharedWaits; got != 1 {
+		t.Fatalf("shared waits = %d, want 1: the second request did not join the flight", got)
+	}
+	in, err := dataset.FromFormat(quickstartFormat(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := incr.Floor(in); resp.Utility < floor {
+		t.Fatalf("waiter past its deadline answered utility %v, below the IG1 floor %v", resp.Utility, floor)
+	}
+	if resp.Shared || resp.WarmSource != api.WarmSourceRequest {
+		t.Errorf("waiter answer shared=%v warm_source=%q, want its own warm solve", resp.Shared, resp.WarmSource)
 	}
 }
 

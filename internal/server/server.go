@@ -417,6 +417,14 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 		value, outcome, runErr = s.cache.Do(ctx, key, lead)
 	}
 
+	if errors.Is(runErr, context.DeadlineExceeded) || errors.Is(runErr, context.Canceled) {
+		// A waiter whose own context ended while it shared another
+		// request's solve answers from a solve of its own on that
+		// expired context: the solver's anytime plan, which for a warm
+		// request the registry holds to the IG1 floor. The leader still
+		// completes, and caches its result for the next caller.
+		value, outcome, runErr = s.runWarmSolve(ctx, in, served, req, fp, key), solvecache.Miss, nil
+	}
 	if runErr != nil {
 		var apiErr *Error
 		if errors.As(runErr, &apiErr) {
@@ -427,23 +435,6 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 				return nil, s.shedError()
 			}
 			return nil, apiErr
-		}
-		if errors.Is(runErr, context.DeadlineExceeded) || errors.Is(runErr, context.Canceled) {
-			// A waiter abandoned by its deadline while sharing another
-			// request's solve: answer 200 with the (trivially feasible)
-			// empty anytime plan, mirroring the solver's own contract.
-			resp := &SolveResponse{
-				Fingerprint: fp,
-				Algo:        requested,
-				Status:      bcc.DeadlineExceeded.String(),
-				Budget:      in.Budget(),
-				Queries:     in.NumQueries(),
-				Shared:      true,
-				SolverError: runErr.Error(),
-			}
-			s.deadlineResults.Add(1)
-			resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-			return resp, nil
 		}
 		return nil, errorf(http.StatusInternalServerError, "solve failed: %v", runErr)
 	}
