@@ -57,8 +57,9 @@ soak-smoke:
 ## record codecs (bccjob/1 and the bccwal/1 query-log WAL framing), the
 ## coverage tracker against its string-keyed oracle (FuzzTracker), the
 ## MC3 greedy against its string-keyed oracle (FuzzMC3), the QK restart
-## kernels against their dense oracles (FuzzQK), and the query-log parser
-## (FuzzParse).
+## kernels against their dense oracles (FuzzQK), the exact knapsack DP
+## against its fresh-table oracle (FuzzKnapsack), and the query-log
+## parser (FuzzParse).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTracker -fuzztime 10s ./internal/cover/
 	$(GO) test -run '^$$' -fuzz FuzzMC3 -fuzztime 10s ./internal/mc3/
 	$(GO) test -run '^$$' -fuzz FuzzQK -fuzztime 10s ./internal/qk/
+	$(GO) test -run '^$$' -fuzz FuzzKnapsack -fuzztime 10s ./internal/knapsack/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
@@ -122,7 +124,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

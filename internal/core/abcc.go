@@ -488,33 +488,29 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, 
 // selection; when it did not, a second call on the same selection would
 // not either.
 func mc3Improve(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker) (changed bool) {
-	covered := t.CoveredQueries()
-	if len(covered) == 0 || g.Tripped() {
+	if t.CoveredCount() == 0 || g.Tripped() {
 		return false
 	}
+	covered := t.CoveredIndices()
 	// A panic inside MC3 forfeits this improvement, not the whole run: the
 	// tracker is only mutated after the MC3 result passed the cost check.
 	defer g.Recover()
 	defer rec.End(obs.StageMC3, rec.Start(), len(covered))
 	in := t.Instance()
-	out := mc3.Solve(mc3.Input{
-		Queries: covered,
-		Cost:    func(s propset.Set) float64 { return in.Cost(s) },
-	})
+	out := mc3.Solve(in, covered)
 	if len(out.Uncovered) > 0 || out.Cost >= t.Cost()-1e-9 {
 		return false
 	}
-	// Keep free classifiers in the selection (they cost nothing and may
-	// still help residual rounds).
-	sel := out.Classifiers
-	for _, c := range in.Classifiers() {
-		if c.Cost == 0 {
-			sel = append(sel, c.Props)
-		}
-	}
 	old := t.Clone()
 	changed = true // from here a panic may leave t part-way
-	t.Reset(sel)
+	// MC3's classifiers, then the free ones: they cost nothing and may
+	// still help residual rounds.
+	t.ResetIndex(out.Indices)
+	for ci, c := range in.Classifiers() {
+		if c.Cost == 0 {
+			t.AddIndex(ci)
+		}
+	}
 	if t.Utility() < old.Utility()-1e-9 || t.Cost() > old.Cost()+1e-9 {
 		// MC3 result unexpectedly worse (it optimizes cost for the covered
 		// set only); roll back.

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"repro/internal/cover"
 	"repro/internal/guard"
@@ -41,10 +42,39 @@ type candidate struct {
 	cost float64
 }
 
-// halfEdge is a 2-cover edge seen from its lower endpoint.
-type halfEdge struct {
-	to int
-	w  float64
+// pair is a 2-cover edge record: its lower and higher node and the
+// utility of the query it 2-covers.
+type pair struct {
+	lo, hi int32
+	w      float64
+}
+
+// builder is buildSubproblems' scratch, kept across calls through the
+// builders pool. itemOf and nodeOf map a classifier index to its item or
+// node, -1 when it has none; between calls every entry is -1, so a build
+// resets only the entries its items and nodes set. The rest is reused
+// storage for the lists a build fills.
+type builder struct {
+	itemOf, nodeOf []int32
+	items          []knapsack.Item
+	itemCls        []int32
+	nodeCls        []int32
+	cands          []candidate
+	pairs, sorted  []pair
+	end            []int32
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// index returns itemOf and nodeOf for n classifiers, all -1.
+func (b *builder) index(n int) (itemOf, nodeOf []int32) {
+	if cap(b.itemOf) < n {
+		b.itemOf, b.nodeOf = make([]int32, n), make([]int32, n)
+		for i := range b.itemOf {
+			b.itemOf[i], b.nodeOf[i] = -1, -1
+		}
+	}
+	return b.itemOf[:n], b.nodeOf[:n]
 }
 
 // buildSubproblems scans the uncovered queries and assembles both
@@ -56,43 +86,42 @@ type halfEdge struct {
 // Items and nodes are numbered in order of first appearance, and each
 // query's candidates come in ascending mask order, so the subproblems
 // are a pure function of the tracker state.
+//
+// The scan appends every 2-cover to one flat list of pair records. A
+// stable counting sort groups them by lower node, a stable sort orders
+// each group by higher node, and each run of equal endpoints becomes one
+// edge whose weight sums the run's utilities in query order. So edges
+// come in (lower, higher) endpoint order, which the QK solver's ties
+// depend on, and a weight's bits do not depend on the sort (DESIGN.md
+// §5).
 func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed []bool, maxCost float64) *subproblems {
 	in := t.Instance()
 	cls := in.Classifiers()
-	sp := &subproblems{}
-	// itemOf and nodeOf map a classifier index to its item or node, -1
-	// when it has none yet.
-	itemOf := make([]int32, len(cls))
-	nodeOf := make([]int32, len(cls))
-	for i := range itemOf {
-		itemOf[i], nodeOf[i] = -1, -1
-	}
-	// pairs[a] collects node a's 2-cover edges to higher nodes, in the
-	// order the queries produce them.
-	var pairs [][]halfEdge
+	b := builders.Get().(*builder)
+	itemOf, nodeOf := b.index(len(cls))
+	items, itemCls, nodeCls := b.items[:0], b.itemCls[:0], b.nodeCls[:0]
+	cands, pairs := b.cands[:0], b.pairs[:0]
 
 	itemFor := func(ci int32) int {
 		if i := itemOf[ci]; i >= 0 {
 			return int(i)
 		}
-		i := len(sp.items)
+		i := len(items)
 		itemOf[ci] = int32(i)
-		sp.items = append(sp.items, knapsack.Item{Weight: cls[ci].Cost, Payload: i})
-		sp.itemCls = append(sp.itemCls, ci)
+		items = append(items, knapsack.Item{Weight: cls[ci].Cost, Payload: i})
+		itemCls = append(itemCls, ci)
 		return i
 	}
-	nodeFor := func(ci int32) int {
+	nodeFor := func(ci int32) int32 {
 		if i := nodeOf[ci]; i >= 0 {
-			return int(i)
+			return i
 		}
-		i := len(sp.nodeCls)
-		nodeOf[ci] = int32(i)
-		sp.nodeCls = append(sp.nodeCls, ci)
-		pairs = append(pairs, nil)
+		i := int32(len(nodeCls))
+		nodeOf[ci] = i
+		nodeCls = append(nodeCls, ci)
 		return i
 	}
 
-	var cands []candidate
 	for qi, q := range in.Queries() {
 		// A trip yields a partial subproblem — the phase still solves it and
 		// any candidate it produces remains feasibility-checked.
@@ -116,7 +145,8 @@ func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed []bool, maxCost 
 		// 1-covers.
 		for _, cd := range cands {
 			if res&^cd.mask == 0 {
-				sp.items[itemFor(cd.ci)].Value += u
+				i := itemFor(cd.ci) // before indexing: it may grow items
+				items[i].Value += u
 			}
 		}
 		// 2-covers (both classifiers needed).
@@ -129,53 +159,95 @@ func buildSubproblems(g *guard.Guard, t *cover.Tracker, allowed []bool, maxCost 
 					continue
 				}
 				a := nodeFor(cands[i].ci)
-				b := nodeFor(cands[j].ci)
-				if a > b {
-					a, b = b, a
+				c := nodeFor(cands[j].ci)
+				if a > c {
+					a, c = c, a
 				}
-				pairs[a] = append(pairs[a], halfEdge{to: b, w: u})
+				pairs = append(pairs, pair{lo: a, hi: c, w: u})
 			}
 		}
 	}
 
 	// Attach 1-cover values through vStar. Knapsack items that are not yet
 	// QK nodes become nodes so the QK solver can select them too.
-	sp.vStar = -1
-	if len(sp.items) > 0 {
-		for _, ci := range sp.itemCls {
+	vStar := -1
+	if len(items) > 0 {
+		for _, ci := range itemCls {
 			nodeFor(ci)
 		}
-		sp.vStar = len(sp.nodeCls)
+		vStar = len(nodeCls)
 	}
-
-	n := len(sp.nodeCls)
-	if sp.vStar >= 0 {
+	n := len(nodeCls)
+	if vStar >= 0 {
 		n++
 	}
-	sp.graph = wgraph.New(n)
-	for i, ci := range sp.nodeCls {
-		sp.graph.SetCost(i, cls[ci].Cost)
+
+	// Group the pairs by lower node: end[v] ends up as the end of v's
+	// group in sorted. Then order each group by higher node, stably.
+	b.end = slices.Grow(b.end[:0], n)[:n]
+	end := b.end
+	clear(end)
+	for _, p := range pairs {
+		end[p.lo]++
 	}
-	// Add the edges in sorted endpoint order: the QK solver breaks ties
-	// by edge order. A pair found in several queries becomes one edge
-	// whose weight sums their utilities in query order.
-	for a, es := range pairs {
-		slices.SortStableFunc(es, func(x, y halfEdge) int { return cmp.Compare(x.to, y.to) })
-		for i := 0; i < len(es); {
-			w, j := 0.0, i
-			for ; j < len(es) && es[j].to == es[i].to; j++ {
-				w += es[j].w
-			}
-			sp.graph.AddEdge(a, es[i].to, w)
-			i = j
+	sum := int32(0)
+	for v, k := range end {
+		end[v] = sum // the start of v's group, until the placement below
+		sum += k
+	}
+	b.sorted = slices.Grow(b.sorted[:0], len(pairs))[:len(pairs)]
+	sorted := b.sorted
+	for _, p := range pairs {
+		sorted[end[p.lo]] = p
+		end[p.lo]++
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		if hi-lo > 1 {
+			slices.SortStableFunc(sorted[lo:hi], func(x, y pair) int { return cmp.Compare(x.hi, y.hi) })
 		}
+		lo = hi
 	}
-	if sp.vStar >= 0 {
-		sp.graph.SetCost(sp.vStar, 0)
-		for i, ci := range sp.itemCls {
-			sp.graph.AddEdge(int(nodeOf[ci]), sp.vStar, sp.items[i].Value)
+	// Merge each run of equal endpoints into the next free slot.
+	merged := 0
+	for i := 0; i < len(sorted); {
+		w, j := 0.0, i
+		for ; j < len(sorted) && sorted[j].lo == sorted[i].lo && sorted[j].hi == sorted[i].hi; j++ {
+			w += sorted[j].w
 		}
+		sorted[merged] = pair{lo: sorted[i].lo, hi: sorted[i].hi, w: w}
+		merged++
+		i = j
 	}
+
+	cost := make([]float64, n) // vStar costs 0
+	for i, ci := range nodeCls {
+		cost[i] = cls[ci].Cost
+	}
+	edges := make([]wgraph.Edge, 0, merged+len(items))
+	for _, p := range sorted[:merged] {
+		edges = append(edges, wgraph.Edge{U: int(p.lo), V: int(p.hi), W: p.w})
+	}
+	for i, ci := range itemCls {
+		edges = append(edges, wgraph.Edge{U: int(nodeOf[ci]), V: vStar, W: items[i].Value})
+	}
+	sp := &subproblems{
+		items:   slices.Clone(items),
+		itemCls: slices.Clone(itemCls),
+		nodeCls: slices.Clone(nodeCls),
+		graph:   wgraph.FromEdges(cost, edges),
+		vStar:   vStar,
+	}
+
+	for _, ci := range itemCls {
+		itemOf[ci] = -1
+	}
+	for _, ci := range nodeCls {
+		nodeOf[ci] = -1
+	}
+	b.items, b.itemCls, b.nodeCls = items[:0], itemCls[:0], nodeCls[:0]
+	b.cands, b.pairs = cands[:0], pairs[:0]
+	builders.Put(b)
 	return sp
 }
 

@@ -116,8 +116,16 @@ func runOracleScript(tb testing.TB, in *model.Instance, sets []propset.Set, scri
 					sel = append(sel, s)
 				}
 			}
+			// The tracker takes the selection by index; a set outside CL
+			// has none.
+			var idx []int32
+			for _, s := range sel {
+				if ci, ok := in.ClassifierIndex(s); ok {
+					idx = append(idx, int32(ci))
+				}
+			}
 			name = fmt.Sprintf("Reset %v", sel)
-			p.t.Reset(sel)
+			p.t.ResetIndex(idx)
 			p.o.Reset(sel)
 		case 6:
 			name = "Clone"
@@ -156,6 +164,15 @@ func compareWithOracle(in *model.Instance, sets []propset.Set, t *Tracker, o *or
 	for ci, c := range cls {
 		allowed[ci] = len(script) == 0 || script[ci%len(script)]&4 == 0
 		allowedKeys[c.Props.Key()] = allowed[ci]
+	}
+	var covered []int
+	for qi := range in.Queries() {
+		if o.Covered(qi) {
+			covered = append(covered, qi)
+		}
+	}
+	if got := t.CoveredIndices(); !slices.Equal(got, covered) {
+		return fmt.Errorf("CoveredIndices %v, oracle %v", got, covered)
 	}
 	for qi, q := range in.Queries() {
 		if !t.Residual(qi).Equal(o.Residual(qi)) || t.Covered(qi) != o.Covered(qi) {

@@ -228,8 +228,9 @@ func (t *Tracker) CopyFrom(o *Tracker) {
 	t.coverCt = o.coverCt
 }
 
-// Reset replaces the selection with exactly the given classifiers.
-func (t *Tracker) Reset(classifiers []propset.Set) {
+// ResetIndex replaces the selection with exactly the given classifier
+// indices, added in order.
+func (t *Tracker) ResetIndex(classifiers []int32) {
 	clear(t.selected)
 	t.cost = 0
 	t.utility = 0
@@ -237,8 +238,8 @@ func (t *Tracker) Reset(classifiers []propset.Set) {
 	for qi := range t.residual {
 		t.residual[qi] = t.full(qi)
 	}
-	for _, c := range classifiers {
-		t.Add(c)
+	for _, ci := range classifiers {
+		t.AddIndex(int(ci))
 	}
 }
 
@@ -265,12 +266,12 @@ func (t *Tracker) SelectedSets() []propset.Set {
 	return out
 }
 
-// CoveredQueries returns the property sets of all covered queries.
-func (t *Tracker) CoveredQueries() []propset.Set {
-	var out []propset.Set
-	for qi, q := range t.in.Queries() {
-		if t.residual[qi] == 0 {
-			out = append(out, q.Props)
+// CoveredIndices returns the indices of all covered queries, ascending.
+func (t *Tracker) CoveredIndices() []int {
+	out := make([]int, 0, t.coverCt)
+	for qi, r := range t.residual {
+		if r == 0 {
+			out = append(out, qi)
 		}
 	}
 	return out

@@ -139,7 +139,15 @@ func TestResetMatchesFresh(t *testing.T) {
 	tr.Add(in.Universe().SetOf("x"))
 	tr.Add(in.Universe().SetOf("y"))
 	sets := []propset.Set{in.Universe().SetOf("y", "z"), in.Universe().SetOf("x", "z")}
-	tr.Reset(sets)
+	var idx []int32
+	for _, s := range sets {
+		ci, ok := in.ClassifierIndex(s)
+		if !ok {
+			t.Fatalf("%v is not a classifier", s)
+		}
+		idx = append(idx, int32(ci))
+	}
+	tr.ResetIndex(idx)
 	fresh := New(in)
 	for _, s := range sets {
 		fresh.Add(s)

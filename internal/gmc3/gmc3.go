@@ -164,14 +164,11 @@ func SolveCtx(ctx context.Context, in *model.Instance, target float64, opts Opti
 
 	// Upper bound: the MC3 full-coverage cost (covers every coverable
 	// query, hence reaches any achievable target).
-	var queries []propset.Set
-	for _, q := range in.Queries() {
-		queries = append(queries, q.Props)
+	all := make([]int, in.NumQueries())
+	for qi := range all {
+		all[qi] = qi
 	}
-	full := mc3.Solve(mc3.Input{
-		Queries: queries,
-		Cost:    func(s propset.Set) float64 { return in.Cost(s) },
-	})
+	full := mc3.Solve(in, all)
 	hi := full.Cost
 	if hi <= 0 {
 		hi = 1

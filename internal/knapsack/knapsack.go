@@ -11,7 +11,9 @@ package knapsack
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/guard"
 )
@@ -99,7 +101,9 @@ func solveExactIntGuard(g *guard.Guard, items []Item, capacity int) Result {
 	if capacity < 0 {
 		return Result{}
 	}
-	w := make([]int, len(items))
+	tb := tables.Get().(*table)
+	tb.w = slices.Grow(tb.w[:0], len(items))[:len(items)]
+	w := tb.w
 	for i, it := range items {
 		w[i] = int(math.Ceil(it.Weight - feasEps))
 		if w[i] < 0 {
@@ -108,40 +112,76 @@ func solveExactIntGuard(g *guard.Guard, items []Item, capacity int) Result {
 	}
 	// dp[c] = best value at weight ≤ c; per-item choice rows are bitsets so
 	// the table stays compact (1 bit per cell) even at large capacities.
-	dp := make([]float64, capacity+1)
+	// An item with no positive value or heavier than the capacity changes
+	// no cell, so its row is neither cleared nor read.
+	tb.dp = slices.Grow(tb.dp[:0], capacity+1)[:capacity+1]
+	dp := tb.dp
+	clear(dp)
 	words := (capacity + 64) / 64
-	choice := make([]uint64, len(items)*words)
+	tb.choice = slices.Grow(tb.choice[:0], len(items)*words)[:len(items)*words]
+	choice := tb.choice
+	used := func(i int) bool { return items[i].Value > 0 && w[i] <= capacity }
 	for i, it := range items {
 		// Checking once per DP row keeps the overhead off the inner cells;
 		// on a trip the greedy answer is always feasible.
 		if g.Tripped() {
+			tables.Put(tb)
 			return SolveGreedy(items, float64(capacity))
 		}
-		if it.Value <= 0 {
+		if !used(i) {
 			continue
 		}
 		row := choice[i*words : (i+1)*words]
-		for c := capacity; c >= w[i]; c-- {
-			if cand := dp[c-w[i]] + it.Value; cand > dp[c] {
-				dp[c] = cand
+		clear(row)
+		// Cell c = k+w[i] takes item i over src[k] = dp[c-w[i]], downward
+		// so that every src cell read is still the previous row's.
+		wi := w[i]
+		src := dp[:capacity+1-wi]
+		dst := dp[wi:]
+		dst = dst[:len(src)]
+		for k := len(src) - 1; k >= 0; k-- {
+			if cand := src[k] + it.Value; cand > dst[k] {
+				dst[k] = cand
+				c := k + wi
 				row[c/64] |= 1 << uint(c%64)
 			}
 		}
 	}
-	// Reconstruct.
+	// Reconstruct, last item first, then copy the picks out in ascending
+	// order.
 	var res Result
+	picked := tb.picked[:0]
 	c := capacity
 	for i := len(items) - 1; i >= 0; i-- {
-		if choice[i*words+c/64]&(1<<uint(c%64)) != 0 {
-			res.Chosen = append(res.Chosen, i)
+		if used(i) && choice[i*words+c/64]&(1<<uint(c%64)) != 0 {
+			picked = append(picked, i)
 			res.Value += items[i].Value
 			res.Weight += items[i].Weight
 			c -= w[i]
 		}
 	}
-	sort.Ints(res.Chosen)
+	if len(picked) > 0 {
+		res.Chosen = make([]int, len(picked))
+		for j, i := range picked {
+			res.Chosen[len(picked)-1-j] = i
+		}
+	}
+	tb.picked = picked
+	tables.Put(tb)
 	return res
 }
+
+// table is the exact DP's working memory, kept across calls through the
+// tables pool: the value row, the choice bitsets, the integer weights
+// and the reconstructed picks.
+type table struct {
+	dp     []float64
+	choice []uint64
+	w      []int
+	picked []int
+}
+
+var tables = sync.Pool{New: func() any { return new(table) }}
 
 // SolveFPTAS returns a (1+eps)-approximate solution for arbitrary
 // non-negative weights and values, via the classic value-scaling dynamic

@@ -12,7 +12,8 @@
 //     equivalent to maximizing Σ_{e ⊆ N} C(e) − Σ_{v∈N} C(v);
 //   - for l ≥ 3 a greedy weighted set cover over (query, property) slots
 //     achieves an O(log n) approximation, followed by a reverse-delete
-//     redundancy prune.
+//     redundancy prune. It runs on the instance's subset tables
+//     (model.Instance.SubsetTable): a candidate is a classifier index.
 //
 // The BCC algorithm A^BCC uses MC3 as a black-box local-search step
 // (line 3 of Algorithm 1): re-cover the query set of the current solution
@@ -21,23 +22,23 @@ package mc3
 
 import (
 	"cmp"
-	"container/heap"
-	"encoding/binary"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/guard"
 	"repro/internal/maxflow"
+	"repro/internal/model"
 	"repro/internal/propset"
 )
 
-// Input is an MC3 problem: queries to cover and the classifier cost
-// oracle. Cost must be defined (possibly +Inf) for every non-empty subset
-// of every query, and give a subset the same price on every call; +Inf
-// excludes a classifier.
+// Input is an MC3 problem given by property sets, the input of
+// SolveExactL2: queries to cover and the classifier cost oracle. Cost
+// must be defined (possibly +Inf) for every non-empty subset of every
+// query, and give a subset the same price on every call; +Inf excludes a
+// classifier.
 type Input struct {
 	Queries []propset.Set
 	Cost    func(propset.Set) float64
@@ -47,6 +48,10 @@ type Input struct {
 type Output struct {
 	// Classifiers is the selected set, sorted by (length, property IDs).
 	Classifiers []propset.Set
+	// Indices lists Classifiers by index into the instance's
+	// Classifiers, in the same order; Solve sets it, SolveExactL2 does
+	// not.
+	Indices []int32
 	// Cost is the total construction cost of Classifiers.
 	Cost float64
 	// Uncovered lists queries that cannot be covered by any finite-cost
@@ -54,20 +59,33 @@ type Output struct {
 	Uncovered []propset.Set
 }
 
-// Solve covers all coverable queries at low cost: exactly for l ≤ 2,
-// greedily (O(log n)-approximate) otherwise.
-func Solve(inp Input) Output {
+// Solve covers the given queries of the instance (distinct indices into
+// in.Queries()) at low cost: exactly for l ≤ 2, by SolveExactL2 on their
+// property sets priced by in.Cost, and greedily (O(log n)-approximate)
+// otherwise, on their subset tables. Either way it reports the chosen
+// classifiers by index too.
+func Solve(in *model.Instance, queries []int) Output {
 	guard.Inject("mc3.solve")
 	maxLen := 0
-	for _, q := range inp.Queries {
-		if q.Len() > maxLen {
-			maxLen = q.Len()
+	for _, qi := range queries {
+		maxLen = max(maxLen, in.Queries()[qi].Length())
+	}
+	if maxLen > 2 {
+		return newTableCover(in, queries).solve()
+	}
+	sets := make([]propset.Set, len(queries))
+	for i, qi := range queries {
+		sets[i] = in.Queries()[qi].Props
+	}
+	out := SolveExactL2(Input{Queries: sets, Cost: in.Cost})
+	out.Indices = make([]int32, 0, len(out.Classifiers))
+	for _, c := range out.Classifiers {
+		// A classifier outside CL is priced +Inf; it has no index.
+		if ci, ok := in.ClassifierIndex(c); ok {
+			out.Indices = append(out.Indices, int32(ci))
 		}
 	}
-	if maxLen <= 2 {
-		return SolveExactL2(inp)
-	}
-	return SolveGreedy(inp)
+	return out
 }
 
 // SolveExactL2 solves MC3 exactly when every query has length ≤ 2, via a
@@ -176,28 +194,157 @@ func SolveExactL2(inp Input) Output {
 	}
 	kept := make([]priced, 0, len(chosen))
 	for _, c := range chosen {
-		kept = append(kept, priced{c, inp.Cost(c)})
+		kept = append(kept, priced{set: c, cost: inp.Cost(c), ci: -1})
 	}
 	return finish(out, kept)
 }
 
-// SolveGreedy covers the queries by weighted set-cover greedy over
+// greedyCover is the MC3 greedy's index-native view of its input: the
+// distinct non-empty queries to cover, in input order, and the
+// classifiers that may cover them. A subset of a query is named by the
+// bit mask over the query's sorted properties that picks it (bit i picks
+// its i-th property), and tables[qi][m-1] is the index in cands of the
+// subset that mask m picks from query qi, or −1 when it is priced +Inf.
+// Candidates are numbered in order of first appearance: queries in
+// order, masks ascending. newTableCover fills the tables from an
+// instance's subset tables; index derives the occurrences from them.
+type greedyCover struct {
+	tables    [][]int32
+	cands     []priced
+	coverable []bool
+	uncovered []propset.Set
+	// Candidate i occurs in the queries occ[occStart[i]:occStart[i+1]],
+	// in query order, with its mask in each.
+	occStart []int32
+	occ      []occurrence
+}
+
+type occurrence struct {
+	q    int32
+	mask uint32
+}
+
+// priced is a classifier with its construction cost and, when it came
+// from an instance's subset tables, its index there (else −1).
+type priced struct {
+	set  propset.Set
+	cost float64
+	ci   int32
+}
+
+// candOfs pools the table fill's map from a classifier index to its
+// candidate, −1 for none. Between uses every entry is −1: a fill resets
+// the entries of its candidates only, so no use clears O(|CL|) entries.
+var candOfs = sync.Pool{New: func() any { return new([]int32) }}
+
+// newTableCover fills a greedyCover from the subset tables of the given
+// queries of in (distinct, so none is dropped as a repeat). A candidate
+// is a classifier index priced at its Classifiers cost; a −1 entry is a
+// subset priced +Inf.
+func newTableCover(in *model.Instance, queries []int) *greedyCover {
+	cls := in.Classifiers()
+	buf := candOfs.Get().(*[]int32)
+	if cap(*buf) < len(cls) {
+		*buf = make([]int32, len(cls))
+		for i := range *buf {
+			(*buf)[i] = -1
+		}
+	}
+	candOf := (*buf)[:len(cls)]
+	size := 0
+	for _, qi := range queries {
+		size += len(in.SubsetTable(qi))
+	}
+	flat := make([]int32, size)
+	gc := &greedyCover{tables: make([][]int32, len(queries)), coverable: make([]bool, len(queries))}
+	for k, qi := range queries {
+		src := in.SubsetTable(qi)
+		table := flat[:len(src):len(src)]
+		flat = flat[len(src):]
+		gc.tables[k] = table
+		var reach uint32
+		for m, ci := range src {
+			if ci < 0 {
+				table[m] = -1
+				continue
+			}
+			i := candOf[ci]
+			if i < 0 {
+				i = int32(len(gc.cands))
+				candOf[ci] = i
+				gc.cands = append(gc.cands, priced{set: cls[ci].Props, cost: cls[ci].Cost, ci: ci})
+			}
+			table[m] = i
+			reach |= uint32(m + 1)
+		}
+		gc.mark(k, reach, in.Queries()[qi].Props)
+	}
+	for _, c := range gc.cands {
+		candOf[c.ci] = -1
+	}
+	candOfs.Put(buf)
+	return gc
+}
+
+// mark records whether query k, whose finite-cost subsets together pick
+// reach, is coverable. A query no combination of finite-cost subsets
+// covers is left out of the greedy and reported.
+func (gc *greedyCover) mark(k int, reach uint32, q propset.Set) {
+	if reach == uint32(len(gc.tables[k])) {
+		gc.coverable[k] = true
+	} else {
+		gc.uncovered = append(gc.uncovered, q)
+	}
+}
+
+// index lists every candidate's occurrences from the tables: the queries
+// it is a subset of, in query order, and its mask in each.
+func (gc *greedyCover) index() {
+	gc.occStart = make([]int32, len(gc.cands)+1)
+	for _, table := range gc.tables {
+		for _, i := range table {
+			if i >= 0 {
+				gc.occStart[i+1]++
+			}
+		}
+	}
+	for i := range gc.cands {
+		gc.occStart[i+1] += gc.occStart[i]
+	}
+	gc.occ = make([]occurrence, gc.occStart[len(gc.cands)])
+	next := slices.Clone(gc.occStart[:len(gc.cands)])
+	for qi, table := range gc.tables {
+		for m, i := range table {
+			if i >= 0 {
+				gc.occ[next[i]] = occurrence{int32(qi), uint32(m + 1)}
+				next[i]++
+			}
+		}
+	}
+}
+
+// occurrences returns candidate i's occurrences.
+func (gc *greedyCover) occurrences(i int) []occurrence {
+	return gc.occ[gc.occStart[i]:gc.occStart[i+1]]
+}
+
+// solve covers the coverable queries by weighted set-cover greedy over
 // (query, property) slots: each step selects the classifier minimizing
 // cost per newly covered slot; a reverse-delete pass then removes
 // redundant classifiers.
-func SolveGreedy(inp Input) Output {
-	gc := newGreedyCover(inp)
+func (gc *greedyCover) solve() Output {
+	gc.index()
 	cands := gc.cands
-	covered := make([]uint32, len(gc.queries))
+	covered := make([]uint32, len(gc.tables))
 	remainingSlots := 0
-	for qi, q := range gc.queries {
+	for qi, table := range gc.tables {
 		if gc.coverable[qi] {
-			remainingSlots += q.Len()
+			remainingSlots += bits.OnesCount32(uint32(len(table)))
 		}
 	}
 	newSlotsOf := func(i int) int {
 		n := 0
-		for _, o := range cands[i].occ {
+		for _, o := range gc.occurrences(i) {
 			if gc.coverable[o.q] {
 				n += bits.OnesCount32(o.mask &^ covered[o.q])
 			}
@@ -207,15 +354,14 @@ func SolveGreedy(inp Input) Output {
 	// Lazy-greedy: a candidate's cost-per-new-slot only grows as coverage
 	// accumulates, so a stale heap entry can be revalidated on pop.
 	chosen := make([]bool, len(cands))
-	h := &candHeap{}
-	heap.Init(h)
+	var h candHeap
 	for i := range cands {
 		if slots := newSlotsOf(i); slots > 0 {
-			heap.Push(h, candEntry{i, cands[i].cost / float64(slots)})
+			h.push(candEntry{i, cands[i].cost / float64(slots)})
 		}
 	}
-	for remainingSlots > 0 && h.Len() > 0 {
-		e := heap.Pop(h).(candEntry)
+	for remainingSlots > 0 && len(h) > 0 {
+		e := h.pop()
 		if chosen[e.i] {
 			continue
 		}
@@ -224,11 +370,11 @@ func SolveGreedy(inp Input) Output {
 			continue
 		}
 		if cur := cands[e.i].cost / float64(slots); cur > e.score+1e-12 {
-			heap.Push(h, candEntry{e.i, cur})
+			h.push(candEntry{e.i, cur})
 			continue
 		}
 		chosen[e.i] = true
-		for _, o := range cands[e.i].occ {
+		for _, o := range gc.occurrences(e.i) {
 			if gc.coverable[o.q] {
 				remainingSlots -= bits.OnesCount32(o.mask &^ covered[o.q])
 				covered[o.q] |= o.mask
@@ -236,115 +382,6 @@ func SolveGreedy(inp Input) Output {
 		}
 	}
 	return gc.reverseDelete(chosen)
-}
-
-// greedyCover is SolveGreedy's index-native view of its input. queries
-// are the distinct non-empty input queries in input order. A subset of a
-// query is named by the bit mask over the query's sorted properties that
-// picks it (bit i picks q[i]), and tables[qi][m-1] is the index in cands
-// of the subset that mask m picks from queries[qi], or −1 when it is
-// priced +Inf.
-type greedyCover struct {
-	queries   []propset.Set
-	tables    [][]int32
-	cands     []candidate
-	coverable []bool
-	uncovered []propset.Set
-}
-
-// candidate is a finite-cost classifier together with its occurrences:
-// the queries it is a subset of, in query order, and its mask in each.
-type candidate struct {
-	priced
-	occ []occurrence
-}
-
-type occurrence struct {
-	q    int32
-	mask uint32
-}
-
-// priced is a classifier with its construction cost.
-type priced struct {
-	set  propset.Set
-	cost float64
-}
-
-// newGreedyCover deduplicates the queries and builds the candidates and
-// subset tables. Candidates appear in the order the string-keyed greedy
-// found them: queries in order, masks ascending, first appearance wins.
-// A subset priced +Inf records no candidate, so a later query prices it
-// again. Lookups go through one reused key buffer, so only a new query
-// or candidate allocates a key.
-func newGreedyCover(inp Input) *greedyCover {
-	gc := &greedyCover{}
-	var key []byte
-	seen := make(map[string]bool, len(inp.Queries))
-	size := 0
-	for _, q := range inp.Queries {
-		if q.Len() > 30 {
-			panic(fmt.Sprintf("mc3: refusing to enumerate 2^%d subsets", q.Len()))
-		}
-		if q.Len() == 0 {
-			continue
-		}
-		key = appendKey(key[:0], q, 1<<q.Len()-1)
-		if seen[string(key)] {
-			continue
-		}
-		seen[string(key)] = true
-		gc.queries = append(gc.queries, q)
-		size += 1<<q.Len() - 1
-	}
-	flat := make([]int32, size)
-	gc.tables = make([][]int32, len(gc.queries))
-	gc.coverable = make([]bool, len(gc.queries))
-	candIdx := make(map[string]int32, size) // at most one candidate per table entry
-	for qi, q := range gc.queries {
-		full := uint32(1)<<q.Len() - 1
-		table := flat[:full:full]
-		flat = flat[full:]
-		gc.tables[qi] = table
-		var reach uint32
-		for m := uint32(1); m <= full; m++ {
-			key = appendKey(key[:0], q, m)
-			i, ok := candIdx[string(key)]
-			if ok {
-				gc.cands[i].occ = append(gc.cands[i].occ, occurrence{int32(qi), m})
-			} else {
-				sub := q.Pick(m)
-				cost := inp.Cost(sub)
-				if math.IsInf(cost, 1) {
-					table[m-1] = -1
-					continue
-				}
-				i = int32(len(gc.cands))
-				candIdx[string(key)] = i
-				gc.cands = append(gc.cands, candidate{priced{sub, cost}, []occurrence{{int32(qi), m}}})
-			}
-			table[m-1] = i
-			reach |= m
-		}
-		// A query no combination of finite-cost subsets covers is left
-		// out of the greedy and reported.
-		if reach == full {
-			gc.coverable[qi] = true
-		} else {
-			gc.uncovered = append(gc.uncovered, q)
-		}
-	}
-	return gc
-}
-
-// appendKey appends to buf a map key for the subset of q that mask m
-// picks: four bytes per picked property.
-func appendKey(buf []byte, q propset.Set, m uint32) []byte {
-	for i, id := range q {
-		if m>>i&1 == 1 {
-			buf = binary.BigEndian.AppendUint32(buf, uint32(id))
-		}
-	}
-	return buf
 }
 
 // covers reports whether the chosen candidates cover query qi.
@@ -379,7 +416,7 @@ func (gc *greedyCover) reverseDelete(chosen []bool) Output {
 			continue
 		}
 		chosen[i] = false
-		for _, o := range gc.cands[i].occ {
+		for _, o := range gc.occurrences(i) {
 			if gc.coverable[o.q] && !gc.covers(o.q, chosen) {
 				chosen[i] = true
 				break
@@ -389,19 +426,23 @@ func (gc *greedyCover) reverseDelete(chosen []bool) Output {
 	var kept []priced
 	for _, i := range sel {
 		if chosen[i] {
-			kept = append(kept, gc.cands[i].priced)
+			kept = append(kept, gc.cands[i])
 		}
 	}
 	return finish(Output{Uncovered: gc.uncovered}, kept)
 }
 
-// finish sets out's classifiers to chosen sorted by (length, IDs) and its
-// cost to their total, summed in that order so that equal plans report
-// bit-identical costs whatever order they were collected in.
+// finish sets out's classifiers to chosen sorted by (length, IDs), with
+// their indices where they have them, and its cost to their total,
+// summed in that order so that equal plans report bit-identical costs
+// whatever order they were collected in.
 func finish(out Output, chosen []priced) Output {
 	slices.SortFunc(chosen, func(a, b priced) int { return byShape(a.set, b.set) })
 	for _, c := range chosen {
 		out.Classifiers = append(out.Classifiers, c.set)
+		if c.ci >= 0 {
+			out.Indices = append(out.Indices, c.ci)
+		}
 		out.Cost += c.cost
 	}
 	return out
@@ -432,16 +473,44 @@ type candEntry struct {
 	score float64
 }
 
+// candHeap is a binary min-heap of candidates by score. push and pop
+// move entries exactly as container/heap's Push and Pop do under Less =
+// score <, without boxing an entry: the order in which equal scores pop
+// breaks the greedy's ties, so it is part of every plan.
 type candHeap []candEntry
 
-func (h candHeap) Len() int            { return len(h) }
-func (h candHeap) Less(i, j int) bool  { return h[i].score < h[j].score }
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(candEntry)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *candHeap) push(e candEntry) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].score < s[i].score) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *candHeap) pop() candEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && s[j2].score < s[j1].score {
+			j = j2
+		}
+		if !(s[j].score < s[i].score) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

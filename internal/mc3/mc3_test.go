@@ -248,7 +248,7 @@ func TestGreedyCoversLongQueries(t *testing.T) {
 		u.SetOf("a"),
 	}
 	inp := Input{Queries: queries, Cost: func(s propset.Set) float64 { return float64(s.Len()) }}
-	out := Solve(inp)
+	out := Solve(instanceFor(inp))
 	for _, q := range queries {
 		if !out.Covers(q) {
 			t.Fatalf("greedy left %v uncovered", q)
@@ -294,7 +294,7 @@ func TestGreedyNotTerribleVsBrute(t *testing.T) {
 		for _, q := range queries {
 			q.Subsets(func(sub propset.Set) { inp.Cost(sub) })
 		}
-		got := SolveGreedy(inp)
+		got := solveTables(inp)
 		want := bruteMC3(inp)
 		if got.Cost < want-1e-9 {
 			t.Fatalf("trial %d: greedy %v below optimum %v — coverage bug", trial, got.Cost, want)
@@ -316,7 +316,7 @@ func TestSolveDispatchesByLength(t *testing.T) {
 		Queries: []propset.Set{u.SetOf("a", "b")},
 		Cost:    func(s propset.Set) float64 { return 1 },
 	}
-	out := Solve(inp)
+	out := Solve(instanceFor(inp))
 	if out.Cost != 1 {
 		t.Fatalf("l=2 dispatch: cost %v, want 1 (exact picks AB)", out.Cost)
 	}

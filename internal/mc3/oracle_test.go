@@ -2,13 +2,90 @@ package mc3
 
 import (
 	"container/heap"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sort"
 
 	"repro/internal/propset"
 )
 
-// The string-keyed MC3 greedy that the index-native SolveGreedy replaced,
+// solveGreedyInput runs the greedy on a set input, its tables filled by
+// newGreedyCover.
+func solveGreedyInput(inp Input) Output { return newGreedyCover(inp).solve() }
+
+// newGreedyCover is the string-keyed way of filling the greedy's tables
+// that the subset-table fill (newTableCover) replaced, kept as a test
+// oracle for it: it deduplicates the queries by key and numbers the
+// candidates in the order it finds them, queries in order, masks
+// ascending, first appearance wins, pricing each through Input.Cost. A
+// subset priced +Inf records no candidate, so a later query prices it
+// again. Lookups go through one reused key buffer.
+func newGreedyCover(inp Input) *greedyCover {
+	gc := &greedyCover{}
+	var key []byte
+	seen := make(map[string]bool, len(inp.Queries))
+	var queries []propset.Set
+	size := 0
+	for _, q := range inp.Queries {
+		if q.Len() > 30 {
+			panic(fmt.Sprintf("mc3: refusing to enumerate 2^%d subsets", q.Len()))
+		}
+		if q.Len() == 0 {
+			continue
+		}
+		key = appendKey(key[:0], q, 1<<q.Len()-1)
+		if seen[string(key)] {
+			continue
+		}
+		seen[string(key)] = true
+		queries = append(queries, q)
+		size += 1<<q.Len() - 1
+	}
+	flat := make([]int32, size)
+	gc.tables = make([][]int32, len(queries))
+	gc.coverable = make([]bool, len(queries))
+	candIdx := make(map[string]int32, size) // at most one candidate per table entry
+	for qi, q := range queries {
+		full := uint32(1)<<q.Len() - 1
+		table := flat[:full:full]
+		flat = flat[full:]
+		gc.tables[qi] = table
+		var reach uint32
+		for m := uint32(1); m <= full; m++ {
+			key = appendKey(key[:0], q, m)
+			i, ok := candIdx[string(key)]
+			if !ok {
+				sub := q.Pick(m)
+				cost := inp.Cost(sub)
+				if math.IsInf(cost, 1) {
+					table[m-1] = -1
+					continue
+				}
+				i = int32(len(gc.cands))
+				candIdx[string(key)] = i
+				gc.cands = append(gc.cands, priced{set: sub, cost: cost, ci: -1})
+			}
+			table[m-1] = i
+			reach |= m
+		}
+		gc.mark(qi, reach, q)
+	}
+	return gc
+}
+
+// appendKey appends to buf a map key for the subset of q that mask m
+// picks: four bytes per picked property.
+func appendKey(buf []byte, q propset.Set, m uint32) []byte {
+	for i, id := range q {
+		if m>>i&1 == 1 {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(id))
+		}
+	}
+	return buf
+}
+
+// The string-keyed MC3 greedy that the index-native greedy replaced,
 // kept as its test oracle: candidates and coverage are propset.Sets
 // looked up by Key, and every step re-prices classifiers through
 // Input.Cost. oracleFinish sums the cost in the sorted output order, as
@@ -91,7 +168,7 @@ func oracleSolveGreedy(inp Input) Output {
 		}
 		return cands[i].cost / float64(slots)
 	}
-	h := &candHeap{}
+	h := &oracleHeap{}
 	heap.Init(h)
 	for i := range cands {
 		if slots := newSlotsOf(i); slots > 0 {
@@ -206,4 +283,18 @@ func oracleFinish(inp Input, out Output, chosen map[string]propset.Set) Output {
 		out.Cost += inp.Cost(c)
 	}
 	return out
+}
+
+type oracleHeap []candEntry
+
+func (h oracleHeap) Len() int            { return len(h) }
+func (h oracleHeap) Less(i, j int) bool  { return h[i].score < h[j].score }
+func (h oracleHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *oracleHeap) Push(x interface{}) { *h = append(*h, x.(candEntry)) }
+func (h *oracleHeap) Pop() interface{} {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	*h = old[:n-1]
+	return it
 }

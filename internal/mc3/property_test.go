@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/propset"
 )
 
@@ -56,18 +57,70 @@ func randomInput(rng *rand.Rand, maxLen int) Input {
 	return Input{Queries: queries, Cost: func(s propset.Set) float64 { return costs[s.Key()] }}
 }
 
-// checkOracle requires SolveGreedy to return the string-keyed oracle's
-// classifiers in the same order, the same uncovered queries and the same
-// cost, bit for bit.
+// instanceFor builds the instance of inp: its non-empty queries, each
+// of utility 1, and every subset of every query priced by inp.Cost. It
+// returns the instance and all its query indices, or nil when inp has no
+// non-empty query.
+func instanceFor(inp Input) (*model.Instance, []int) {
+	b := model.NewBuilder()
+	for _, q := range inp.Queries {
+		b.AddQuerySet(q, 1)
+		q.Subsets(func(sub propset.Set) { b.SetCostSet(sub, inp.Cost(sub)) })
+	}
+	in, err := b.Instance(0)
+	if err != nil {
+		return nil, nil
+	}
+	qs := make([]int, in.NumQueries())
+	for i := range qs {
+		qs[i] = i
+	}
+	return in, qs
+}
+
+// solveTables runs the greedy on the subset tables of inp's instance.
+func solveTables(inp Input) Output {
+	in, qs := instanceFor(inp)
+	if in == nil {
+		return Output{}
+	}
+	return newTableCover(in, qs).solve()
+}
+
+// checkOracle requires the greedy, its tables filled both from strings
+// (newGreedyCover) and from the instance's subset tables (newTableCover),
+// to return the string-keyed oracle's classifiers in the same order, the
+// same uncovered queries and the same cost, bit for bit; the table fill
+// must also name each classifier by its index in the instance.
 func checkOracle(t *testing.T, inp Input) {
 	t.Helper()
-	got, want := SolveGreedy(inp), oracleSolveGreedy(inp)
-	if !slices.EqualFunc(got.Classifiers, want.Classifiers, propset.Set.Equal) ||
-		!slices.EqualFunc(got.Uncovered, want.Uncovered, propset.Set.Equal) ||
-		got.Cost != want.Cost {
-		t.Fatalf("queries %v:\n greedy %v uncovered %v cost %v\n oracle %v uncovered %v cost %v",
-			inp.Queries, got.Classifiers, got.Uncovered, got.Cost,
-			want.Classifiers, want.Uncovered, want.Cost)
+	want := oracleSolveGreedy(inp)
+	for _, fill := range []string{"strings", "tables"} {
+		var got Output
+		if fill == "strings" {
+			got = solveGreedyInput(inp)
+		} else {
+			in, qs := instanceFor(inp)
+			if in == nil {
+				continue
+			}
+			got = newTableCover(in, qs).solve()
+			if len(got.Indices) != len(got.Classifiers) {
+				t.Fatalf("queries %v: %d indices for %d classifiers", inp.Queries, len(got.Indices), len(got.Classifiers))
+			}
+			for k, ci := range got.Indices {
+				if !in.Classifiers()[ci].Props.Equal(got.Classifiers[k]) {
+					t.Fatalf("queries %v: index %d names %v, not %v", inp.Queries, ci, in.Classifiers()[ci].Props, got.Classifiers[k])
+				}
+			}
+		}
+		if !slices.EqualFunc(got.Classifiers, want.Classifiers, propset.Set.Equal) ||
+			!slices.EqualFunc(got.Uncovered, want.Uncovered, propset.Set.Equal) ||
+			math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+			t.Fatalf("queries %v, %s fill:\n greedy %v uncovered %v cost %v\n oracle %v uncovered %v cost %v",
+				inp.Queries, fill, got.Classifiers, got.Uncovered, got.Cost,
+				want.Classifiers, want.Uncovered, want.Cost)
+		}
 	}
 }
 
@@ -95,7 +148,7 @@ func TestCostBitIdentical(t *testing.T) {
 		maxLen int
 		solve  func(Input) Output
 	}{
-		{"greedy", 3, SolveGreedy},
+		{"greedy", 3, solveTables},
 		{"exact", 2, SolveExactL2},
 	} {
 		rng := rand.New(rand.NewSource(5))

@@ -4,10 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/guard"
+	"repro/internal/wgraph"
 )
 
 func TestSolveHeuristicGuardMatchesUnguarded(t *testing.T) {
@@ -78,4 +81,48 @@ func TestWorkerPoolLeaksNoGoroutinesOnCancel(t *testing.T) {
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestSolveScratchReuseKeepsResults solves graphs of different sizes,
+// budgets and iteration counts in one order, then again in another and
+// from 4 goroutines at once, and requires the same results: the pooled
+// per-call scratch carries nothing from one call to the next.
+func TestSolveScratchReuseKeepsResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	type input struct {
+		g      *wgraph.Graph
+		budget float64
+		opts   Options
+	}
+	inputs := make([]input, 24)
+	want := make([]Result, len(inputs))
+	for i := range inputs {
+		g := randomQK(rng, 5+rng.Intn(40), 0.1+rng.Float64()*0.3, 1+rng.Intn(8))
+		inputs[i] = input{g, float64(2 + rng.Intn(30)), Options{Seed: int64(1 + i%3), Iterations: 1 + rng.Intn(6)}}
+		want[i] = SolveHeuristic(inputs[i].g, inputs[i].budget, inputs[i].opts)
+	}
+	same := func(a, b Result) bool {
+		return slices.Equal(a.Nodes, b.Nodes) && a.Weight == b.Weight && a.Cost == b.Cost
+	}
+	for k := range inputs {
+		i := (k*7 + 3) % len(inputs)
+		if got := SolveHeuristic(inputs[i].g, inputs[i].budget, inputs[i].opts); !same(got, want[i]) {
+			t.Fatalf("input %d re-solved: %v, want %v", i, got, want[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range inputs {
+				i := (k*5 + w) % len(inputs)
+				if got := SolveHeuristic(inputs[i].g, inputs[i].budget, inputs[i].opts); !same(got, want[i]) {
+					t.Errorf("goroutine %d, input %d: %v, want %v", w, i, got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

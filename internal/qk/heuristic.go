@@ -81,12 +81,18 @@ func SolveHeuristic(g *wgraph.Graph, budget float64, opts Options) Result {
 func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts Options) (res Result) {
 	n := g.NumNodes()
 	opts = opts.withDefaults(n)
-	o := newOrders(g, budget)
-	sides := make([][]bool, opts.Iterations)
+	// The call's scratch goes back to the pool only on a normal return: a
+	// contained panic may leave restart workers that still read it.
+	s := solvers.Get().(*solveScratch)
+	s.orders.build(g, budget, &s.radix)
+	o := &s.orders
+	grow(&s.sides, opts.Iterations)
+	reset(&s.drawn, opts.Iterations)
 	best := solveGreedy(g, o, budget) // safety floor
 	res = best
 
 	if n == 0 || g.NumEdges() == 0 || budget < 0 {
+		solvers.Put(s)
 		return res
 	}
 	if gu != nil {
@@ -101,12 +107,13 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	// Floor: the heaviest affordable edges, greedily completed. Guards
 	// against greedy traps where a cheap node promises an unaffordable
 	// edge.
-	affordable := make([]wgraph.Edge, 0, 16)
+	affordable := empty(&s.affordable, 16)
 	for _, e := range g.Edges() {
 		if g.Cost(e.U)+g.Cost(e.V) <= budget+1e-9 {
 			affordable = append(affordable, e)
 		}
 	}
+	s.affordable = affordable
 	sort.Slice(affordable, func(i, j int) bool { return affordable[i].W > affordable[j].W })
 	if len(affordable) > 8 {
 		affordable = affordable[:8]
@@ -117,27 +124,29 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 
 	// Preprocessing: free nodes are always selected; nodes above the
 	// budget can never be.
-	var zero []int
+	zero := empty(&s.zero, 0)
 	for v := 0; v < n; v++ {
 		if g.Cost(v) == 0 {
 			zero = append(zero, v)
 		}
 	}
+	s.zero = zero
 	// Expensive nodes: cost in [B/2, B]. At most two fit in any solution.
-	var expensive []int
+	expensive := empty(&s.expensive, 0)
 	for v := 0; v < n; v++ {
 		c := g.Cost(v)
 		if c >= budget/2 && c <= budget && c > 0 {
 			expensive = append(expensive, v)
 		}
 	}
+	s.expensive = expensive
 	sort.Slice(expensive, func(i, j int) bool {
 		return g.WeightedDegree(expensive[i]) > g.WeightedDegree(expensive[j])
 	})
 	if len(expensive) > opts.ExpensiveCap {
 		expensive = expensive[:opts.ExpensiveCap]
 	}
-	isExpensive := make([]bool, n)
+	isExpensive := reset(&s.isExpensive, n)
 	for v := 0; v < n; v++ {
 		c := g.Cost(v)
 		if c >= budget/2 && c > 0 {
@@ -153,14 +162,14 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		for j := i + 1; j < len(expensive); j++ {
 			a, b := expensive[i], expensive[j]
 			if g.Cost(a)+g.Cost(b) <= budget+1e-9 {
-				cand := append(append([]int(nil), zero...), a, b)
-				best = better(best, resultFor(g, cand))
+				s.pre = append(append(s.pre[:0], zero...), a, b)
+				best = better(best, resultFor(g, s.pre))
 			}
 		}
 	}
 	// Case: no expensive node in the optimum.
 	if !gu.Tripped() {
-		best = better(best, coreSolve(gu, g, o, sides, budget, budget, isExpensive, zero, opts))
+		best = better(best, coreSolve(gu, g, s, budget, budget, isExpensive, zero, opts))
 	}
 	// Case: exactly one expensive node — preselect it, reduce the budget
 	// for the quadratic part (the full budget still applies to the final
@@ -169,36 +178,61 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 		if gu.Tripped() {
 			break
 		}
-		excl := make([]bool, n)
+		excl := grow(&s.excl, n)
 		copy(excl, isExpensive)
 		excl[a] = false
-		pre := append(append([]int(nil), zero...), a)
-		best = better(best, coreSolve(gu, g, o, sides, budget-g.Cost(a), budget, excl, pre, opts))
+		s.pre = append(append(s.pre[:0], zero...), a)
+		best = better(best, coreSolve(gu, g, s, budget-g.Cost(a), budget, excl, s.pre, opts))
 	}
 	res = best
+	s.cc.g = nil // a pooled scratch holds no graph
+	solvers.Put(s)
 	return res
 }
+
+// solveScratch is one SolveHeuristicGuard call's working memory, kept
+// across calls through the solvers pool: g's orders, the restarts'
+// bipartitions, the case lists, and coreSolve's per-node arrays and case
+// order. Cases run one after another and each joins its restarts before
+// the next begins, so one case's arrays are reused by the next.
+type solveScratch struct {
+	orders orders
+	radix  []candidate
+	// sides[iter] is restart iter's bipartition, valid where drawn[iter].
+	sides [][]bool
+	drawn []bool
+
+	affordable                         []wgraph.Edge
+	zero, expensive, pre               []int
+	isExpensive, excl, preMark, active []bool
+	cint                               []int
+	bonus                              []float64
+	cc                                 countCase
+}
+
+var solvers = sync.Pool{New: func() any { return new(solveScratch) }}
 
 // coreSolve runs the bipartition/blow-up/HkS pipeline on the instance with
 // the given exclusions and preselected (treated-as-free) nodes. budget
 // bounds the quadratic part; fullBudget (≥ budget plus the preselected
-// cost) bounds the final completed solutions. o is g's orders
-// (newOrders), shared by every completion. sides[iter] is restart iter's
-// random bipartition (drawSide), drawn by the first case that runs the
-// restart and reused by the later cases of the same call: it depends only
-// on the seed, iter and n. Cases run one after another and each waits for
-// its workers, and within a case each restart belongs to one worker, so
-// the slots need no lock.
-func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
+// cost) bounds the final completed solutions. s is the call's scratch:
+// its orders (g's, shared by every completion) and its bipartitions:
+// sides[iter] is restart iter's random bipartition (fillSide), drawn by
+// the first case that runs the restart and reused by the later cases of
+// the same call: it depends only on the seed, iter and n. Cases run one
+// after another and each waits for its workers, and within a case each
+// restart belongs to one worker, so the slots need no lock.
+func coreSolve(gu *guard.Guard, g *wgraph.Graph, s *solveScratch, budget, fullBudget float64, excluded []bool, pre []int, opts Options) Result {
 	n := g.NumNodes()
-	preMark := make([]bool, n)
+	o := &s.orders
+	preMark := reset(&s.preMark, n)
 	for _, v := range pre {
 		preMark[v] = true
 	}
 	// Active nodes: positive-cost, affordable, not excluded, not
 	// preselected. Nodes above half the (current) budget are dropped so
 	// that the final-selection feasibility argument holds.
-	active := make([]bool, n)
+	active := reset(&s.active, n)
 	anyActive := false
 	for v := 0; v < n; v++ {
 		c := g.Cost(v)
@@ -230,7 +264,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budg
 	if !integral {
 		f = float64(opts.MaxScaledBudget) / budget
 	}
-	cint := make([]int, n)
+	cint := reset(&s.cint, n)
 	for {
 		total := 0
 		for v := 0; v < n; v++ {
@@ -255,7 +289,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budg
 
 	// Per-node linear bonus: edges into preselected nodes contribute
 	// linearly once the node is fully selected.
-	bonus := make([]float64, n)
+	bonus := reset(&s.bonus, n)
 	for v := 0; v < n; v++ {
 		if !active[v] {
 			continue
@@ -268,7 +302,8 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budg
 	}
 
 	best := resultFor(g, greedyGrow(gu, g, o, fullBudget, pre))
-	cc := newCountCase(g, active, cint, bonus)
+	cc := &s.cc
+	cc.build(g, active, cint, bonus, &s.radix)
 
 	// The paper runs the log n bipartition iterations in parallel; each
 	// iteration only reads the shared graph and derives its own RNG, so a
@@ -299,10 +334,11 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budg
 			}
 			t0 := opts.Trace.Start()
 			defer opts.Trace.End(obs.StageQKRestart, t0, n)
-			if sides[iter] == nil {
-				sides[iter] = drawSide(opts.Seed, iter, n)
+			if !s.drawn[iter] {
+				fillSide(grow(&s.sides[iter], n), opts.Seed, iter)
+				s.drawn[iter] = true
 			}
-			st := cc.state(sides[iter])
+			st := cc.state(s.sides[iter])
 			k := intBudget / 2
 			st.greedyFill(gu, k)
 			st.localSearch(gu, opts.LocalSearchRounds)
@@ -326,18 +362,16 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, o *orders, sides [][]bool, budg
 	return best
 }
 
-// drawSide returns restart iter's random bipartition of n nodes (true =
-// L side).
-func drawSide(seed int64, iter, n int) []bool {
+// fillSide draws restart iter's random bipartition into side (true = L
+// side).
+func fillSide(side []bool, seed int64, iter int) {
 	// rand.Rand's Intn(2) is Int31()&1, and Int31 is the source's
 	// Int63()>>32: side v is the bit rand.New(src).Intn(2) would draw,
 	// without the three calls per node.
 	src := rand.NewSource(seed + int64(iter)*7919)
-	side := make([]bool, n)
 	for v := range side {
 		side[v] = src.Int63()>>32&1 == 0
 	}
-	return side
 }
 
 // countCase is one case of coreSolve as its restarts share it
@@ -355,10 +389,18 @@ type countCase struct {
 	order  []candidate
 }
 
-// newCountCase builds a case's order. Nodes with a zero ratio need no
-// sort: they follow the others in node order, which is their canonical
-// order.
+// newCountCase builds a case on fresh storage (see build).
 func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *countCase {
+	cc := new(countCase)
+	cc.build(g, active, c, bonus, new([]candidate))
+	return cc
+}
+
+// build makes cc the case of the given active nodes, copy counts and
+// bonuses, reusing cc's order storage and *buf as the radix sort's second
+// array. Nodes with a zero ratio need no sort: they follow the others in
+// node order, which is their canonical order.
+func (cc *countCase) build(g *wgraph.Graph, active []bool, c []int, bonus []float64, buf *[]candidate) {
 	nActive, nPos := 0, 0
 	for v, a := range active {
 		if a {
@@ -368,7 +410,7 @@ func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *cou
 			}
 		}
 	}
-	order := make([]candidate, nActive)
+	order := grow(&cc.order, nActive)
 	pos, zero := 0, nPos // the next slot for each kind
 	for v, a := range active {
 		if !a {
@@ -382,8 +424,8 @@ func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *cou
 			zero++
 		}
 	}
-	radixSort(order[:nPos], true, make([]candidate, nPos))
-	return &countCase{g: g, active: active, c: c, bonus: bonus, order: order}
+	radixSort(order[:nPos], true, grow(buf, nPos))
+	cc.g, cc.active, cc.c, cc.bonus = g, active, c, bonus
 }
 
 // countState is the implicit blow-up graph Ĝ: every active node v stands

@@ -113,30 +113,39 @@ type orders struct {
 	// score in canonical order (score desc, node asc). withFree scores a
 	// node with every zero-cost node selected and leaves those out.
 	withFree, bootOnly []candidate
+	wf                 []candidate // withFree's own storage, for build
 }
 
-// newOrders builds g's orders for completions within budget: one pass
-// over the edges for the per-node weights, one over the nodes for the
-// (key, node) pairs, then a radix sort of each list.
+// newOrders builds g's orders for completions within budget on fresh
+// storage (see build).
 func newOrders(g *wgraph.Graph, budget float64) *orders {
+	o := new(orders)
+	o.build(g, budget, new([]candidate))
+	return o
+}
+
+// build makes o g's orders for completions within budget, reusing o's
+// storage: one pass over the edges for the per-node weights, one over the
+// nodes for the (key, node) pairs, then a radix sort of each list with
+// *buf as its second array.
+func (o *orders) build(g *wgraph.Graph, budget float64, buf *[]candidate) {
 	n := g.NumNodes()
-	o := &orders{
-		boot: make([]float64, n), free: make([]float64, n),
-		cost: make([]candidate, 0, n), bootOnly: make([]candidate, 0, n), withFree: make([]candidate, 0, n),
-	}
+	o.nFree = 0
+	boot, free := reset(&o.boot, n), reset(&o.free, n)
+	o.cost, o.bootOnly, o.withFree = empty(&o.cost, n), empty(&o.bootOnly, n), empty(&o.wf, n)
 	for _, e := range g.Edges() {
 		zu, zv := g.Cost(e.U) == 0, g.Cost(e.V) == 0
 		if zu && !zv {
-			o.free[e.V] += e.W
+			free[e.V] += e.W
 		}
 		if zv && !zu {
-			o.free[e.U] += e.W
+			free[e.U] += e.W
 		}
-		if e.W/4 > o.boot[e.U] {
-			o.boot[e.U] = e.W / 4
+		if e.W/4 > boot[e.U] {
+			boot[e.U] = e.W / 4
 		}
-		if e.W/4 > o.boot[e.V] {
-			o.boot[e.V] = e.W / 4
+		if e.W/4 > boot[e.V] {
+			boot[e.V] = e.W / 4
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -148,22 +157,21 @@ func newOrders(g *wgraph.Graph, budget float64) *orders {
 			continue
 		}
 		o.cost = append(o.cost, candidate{v, math.Abs(c)}) // -0 sorts as 0
-		if sc := growScore(0, o.boot[v], c); sc > 0 {
+		if sc := growScore(0, boot[v], c); sc > 0 {
 			o.bootOnly = append(o.bootOnly, candidate{v, sc})
 		}
-		if sc := growScore(o.free[v], o.boot[v], c); sc > 0 && c != 0 {
+		if sc := growScore(free[v], boot[v], c); sc > 0 && c != 0 {
 			o.withFree = append(o.withFree, candidate{v, sc})
 		}
 	}
-	buf := make([]candidate, len(o.cost))
-	radixSort(o.cost, false, buf)
-	radixSort(o.bootOnly, true, buf)
+	tmp := grow(buf, len(o.cost))
+	radixSort(o.cost, false, tmp)
+	radixSort(o.bootOnly, true, tmp)
 	if o.nFree == 0 {
 		o.withFree = o.bootOnly // no weight into zero-cost nodes: the same scores
 	} else {
-		radixSort(o.withFree, true, buf)
+		radixSort(o.withFree, true, tmp)
 	}
-	return o
 }
 
 // growScore is a completion's score for a node of cost c whose weight
@@ -340,6 +348,15 @@ func grow[T any](buf *[]T, n int) []T {
 		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
+	return *buf
+}
+
+// empty empties *buf, giving it room for n elements, and returns it.
+func empty[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, 0, n)
+	}
+	*buf = (*buf)[:0]
 	return *buf
 }
 

@@ -312,13 +312,14 @@ func growStarts(rng *rand.Rand, g *wgraph.Graph) [][]int {
 	return starts
 }
 
-// TestDrawSideMatchesIntn pins drawSide to the bipartitions that
+// TestDrawSideMatchesIntn pins fillSide to the bipartitions that
 // rand.New(rand.NewSource(seed)).Intn(2) draws, which fix every
 // restart's plan.
 func TestDrawSideMatchesIntn(t *testing.T) {
 	for _, seed := range []int64{1, 5, -3, 1 << 40} {
 		for iter := 0; iter < 4; iter++ {
-			got := drawSide(seed, iter, 500)
+			got := make([]bool, 500)
+			fillSide(got, seed, iter)
 			rng := rand.New(rand.NewSource(seed + int64(iter)*7919))
 			for v, l := range got {
 				if want := rng.Intn(2) == 0; l != want {

@@ -28,16 +28,48 @@ type Graph struct {
 	cost  []float64
 	edges []Edge
 	adj   [][]halfEdge
-	byKey map[[2]int]int // endpoint pair -> edge index, for merged adds
+	// byKey maps an endpoint pair to its edge index for merged adds. It
+	// is nil until the first AddEdgeMerged.
+	byKey map[[2]int]int
 }
 
 // New returns a graph with n nodes, all of cost 0 and no edges.
 func New(n int) *Graph {
 	return &Graph{
-		cost:  make([]float64, n),
-		adj:   make([][]halfEdge, n),
-		byKey: make(map[[2]int]int),
+		cost: make([]float64, n),
+		adj:  make([][]halfEdge, n),
 	}
+}
+
+// FromEdges returns the graph with len(cost) nodes of the given costs and
+// the given edges, in order: the graph New, SetCost and AddEdge on each
+// edge would build, with the same panics, but built from one degree count
+// with every adjacency list carved from one backing array. The graph
+// keeps cost and edges; callers must not modify them afterwards.
+func FromEdges(cost []float64, edges []Edge) *Graph {
+	n := len(cost)
+	// start[v+1] counts v's edges, then start[v] is where its list begins.
+	start := make([]int, n+1)
+	for _, e := range edges {
+		checkEdge(e.U, e.V, n)
+		start[e.U+1]++
+		start[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	back := make([]halfEdge, start[n])
+	adj := make([][]halfEdge, n)
+	for v := range adj {
+		// Capped at the node's degree, so an AddEdge appends to a copy
+		// instead of over the next node's list.
+		adj[v] = back[start[v]:start[v]:start[v+1]]
+	}
+	for id, e := range edges {
+		adj[e.U] = append(adj[e.U], halfEdge{to: e.V, eid: id})
+		adj[e.V] = append(adj[e.V], halfEdge{to: e.U, eid: id})
+	}
+	return &Graph{cost: cost, edges: edges, adj: adj}
 }
 
 // NumNodes reports the number of nodes.
@@ -74,17 +106,22 @@ func edgeKey(u, v int) [2]int {
 // AddEdge appends an undirected edge u–v of weight w and returns its index.
 // It panics on self-loops and out-of-range endpoints.
 func (g *Graph) AddEdge(u, v int, w float64) int {
-	if u == v {
-		panic(fmt.Sprintf("wgraph: self-loop on node %d", u))
-	}
-	if u < 0 || v < 0 || u >= len(g.cost) || v >= len(g.cost) {
-		panic(fmt.Sprintf("wgraph: edge (%d,%d) out of range [0,%d)", u, v, len(g.cost)))
-	}
+	checkEdge(u, v, len(g.cost))
 	id := len(g.edges)
 	g.edges = append(g.edges, Edge{U: u, V: v, W: w})
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, eid: id})
 	g.adj[v] = append(g.adj[v], halfEdge{to: u, eid: id})
 	return id
+}
+
+// checkEdge panics on a self-loop or an endpoint outside [0, n).
+func checkEdge(u, v, n int) {
+	if u == v {
+		panic(fmt.Sprintf("wgraph: self-loop on node %d", u))
+	}
+	if u < 0 || v < 0 || u >= n || v >= n {
+		panic(fmt.Sprintf("wgraph: edge (%d,%d) out of range [0,%d)", u, v, n))
+	}
 }
 
 // AddEdgeMerged adds weight w to the existing u–v edge if one was
@@ -98,6 +135,9 @@ func (g *Graph) AddEdgeMerged(u, v int, w float64) int {
 		return id
 	}
 	id := g.AddEdge(u, v, w)
+	if g.byKey == nil {
+		g.byKey = make(map[[2]int]int)
+	}
 	g.byKey[k] = id
 	return id
 }
@@ -224,8 +264,11 @@ func (g *Graph) Clone() *Graph {
 	for _, e := range g.edges {
 		out.AddEdge(e.U, e.V, e.W)
 	}
-	for k, v := range g.byKey {
-		out.byKey[k] = v
+	if g.byKey != nil {
+		out.byKey = make(map[[2]int]int, len(g.byKey))
+		for k, v := range g.byKey {
+			out.byKey[k] = v
+		}
 	}
 	return out
 }

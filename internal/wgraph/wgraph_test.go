@@ -2,6 +2,8 @@ package wgraph
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -207,5 +209,133 @@ func BenchmarkInducedWeight(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.InducedWeight(in)
+	}
+}
+
+// neighborList is every node's Neighbors sequence, for comparing graphs.
+func neighborList(g *Graph) [][]Edge {
+	out := make([][]Edge, g.NumNodes())
+	for u := range out {
+		g.Neighbors(u, func(v int, w float64, eid int) {
+			out[u] = append(out[u], Edge{U: v, V: eid, W: w})
+		})
+	}
+	return out
+}
+
+// sameGraph fails unless a and b have the same costs, the same edges in
+// order (weights bit for bit), the same degrees and the same Neighbors
+// sequences.
+func sameGraph(t *testing.T, a, b *Graph) {
+	t.Helper()
+	if a.NumNodes() != b.NumNodes() || !reflect.DeepEqual(a.cost, b.cost) {
+		t.Fatalf("costs %v, want %v", a.cost, b.cost)
+	}
+	if !slices.Equal(a.Edges(), b.Edges()) {
+		t.Fatalf("edges %v, want %v", a.Edges(), b.Edges())
+	}
+	for v := 0; v < a.NumNodes(); v++ {
+		if a.Degree(v) != b.Degree(v) {
+			t.Fatalf("node %d: degree %d, want %d", v, a.Degree(v), b.Degree(v))
+		}
+	}
+	if na, nb := neighborList(a), neighborList(b); !reflect.DeepEqual(na, nb) {
+		t.Fatalf("neighbours %v, want %v", na, nb)
+	}
+}
+
+// panicOf runs fn and returns what it panicked with, nil if nothing.
+func panicOf(fn func()) (p any) {
+	defer func() { p = recover() }()
+	fn()
+	return nil
+}
+
+func TestFromEdgesMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(12)
+		cost := make([]float64, n)
+		for v := range cost {
+			cost[v] = float64(rng.Intn(5)) / 3
+		}
+		var edges []Edge
+		for i := rng.Intn(30); i > 0 && n > 0; i-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if trial%10 != 0 && u == v {
+				continue
+			}
+			if trial%25 == 1 {
+				v = n + rng.Intn(3) // out of range
+			}
+			edges = append(edges, Edge{U: u, V: v, W: float64(rng.Intn(7)) / 7})
+		}
+		var want *Graph
+		wantP := panicOf(func() {
+			want = New(n)
+			for v, c := range cost {
+				want.SetCost(v, c)
+			}
+			for _, e := range edges {
+				want.AddEdge(e.U, e.V, e.W)
+			}
+		})
+		var got *Graph
+		gotP := panicOf(func() { got = FromEdges(slices.Clone(cost), slices.Clone(edges)) })
+		if gotP != wantP {
+			t.Fatalf("trial %d: FromEdges panicked with %v, AddEdge with %v", trial, gotP, wantP)
+		}
+		if wantP != nil {
+			continue
+		}
+		sameGraph(t, got, want)
+		// A later AddEdge extends one node's list without touching the
+		// next node's, which shares the backing array.
+		if n >= 2 {
+			got.AddEdge(0, 1, 1)
+			want.AddEdge(0, 1, 1)
+			sameGraph(t, got, want)
+		}
+	}
+}
+
+func TestCloneAndSubgraphWithAndWithoutMergedEdges(t *testing.T) {
+	for _, merged := range []bool{false, true} {
+		g := New(4)
+		for v := 0; v < 4; v++ {
+			g.SetCost(v, float64(v))
+		}
+		g.AddEdge(0, 1, 1)
+		g.AddEdge(2, 3, 2)
+		if merged {
+			g.AddEdgeMerged(1, 2, 3)
+			g.AddEdgeMerged(2, 1, 4)
+		}
+		c := g.Clone()
+		sameGraph(t, c, g)
+		// A merged add on the clone merges into the edges it inherited
+		// through AddEdgeMerged, and leaves the original alone.
+		c.AddEdgeMerged(1, 2, 5)
+		g2 := g.Clone()
+		g2.AddEdgeMerged(1, 2, 5)
+		sameGraph(t, c, g2)
+		if merged && (c.NumEdges() != 3 || c.EdgeWeight(1, 2) != 12 || g.EdgeWeight(1, 2) != 7) {
+			t.Fatalf("merged clone: %d edges, weight %v (original %v)", c.NumEdges(), c.EdgeWeight(1, 2), g.EdgeWeight(1, 2))
+		}
+		if !merged && (c.NumEdges() != 3 || c.EdgeWeight(1, 2) != 5) {
+			t.Fatalf("plain clone: %d edges, weight %v", c.NumEdges(), c.EdgeWeight(1, 2))
+		}
+		sub, _, _ := g.Subgraph([]bool{false, true, true, true})
+		wantW := 2.0
+		if merged {
+			wantW = 9
+		}
+		if sub.NumNodes() != 3 || sub.TotalWeight() != wantW {
+			t.Fatalf("subgraph: %d nodes, weight %v, want 3 and %v", sub.NumNodes(), sub.TotalWeight(), wantW)
+		}
+		sub.AddEdgeMerged(0, 1, 1)
+		if merged && sub.NumEdges() != 2 {
+			t.Fatalf("subgraph merged add made %d edges, want 2", sub.NumEdges())
+		}
 	}
 }
