@@ -58,8 +58,9 @@ soak-smoke:
 ## coverage tracker against its string-keyed oracle (FuzzTracker), the
 ## MC3 greedy against its string-keyed oracle (FuzzMC3), the QK restart
 ## kernels against their dense oracles (FuzzQK), the exact knapsack DP
-## against its fresh-table oracle (FuzzKnapsack), and the query-log
-## parser (FuzzParse).
+## against its fresh-table oracle (FuzzKnapsack), the query-log parser
+## (FuzzParse), and /v1/solve answering any body the same way twice
+## (FuzzSolveBody).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -70,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQK -fuzztime 10s ./internal/qk/
 	$(GO) test -run '^$$' -fuzz FuzzKnapsack -fuzztime 10s ./internal/knapsack/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
+	$(GO) test -run '^$$' -fuzz FuzzSolveBody -fuzztime 10s ./internal/server/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
 ## detector — a bccgate gateway over two in-process backends, checking

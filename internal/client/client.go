@@ -234,6 +234,20 @@ func (c *Client) SolveOpts(ctx context.Context, req *api.SolveRequest, opts *Cal
 	return &out, nil
 }
 
+// SolveBody is SolveOpts for a request already encoded as JSON: body is
+// posted as given, and the 200 answer's bytes come back unchanged once
+// checked to be valid JSON. A routing tier (bccgate) relays bodies and
+// answers through it without decoding or re-encoding either. Retries,
+// breaker and accounting hooks are those of every other call.
+func (c *Client) SolveBody(ctx context.Context, body []byte, opts *CallOpts) ([]byte, error) {
+	c.requests.Add(1)
+	var out json.RawMessage
+	if err := c.callBody(ctx, opts, "/v1/solve", body, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // SolveBatch runs requests through POST /v1/solve/batch with retries.
 // The batch answers 200 even when individual items fail; per-item
 // errors (including per-item 429 shedding with retry advice) are the
@@ -273,24 +287,30 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return nil
 }
 
-// call drives one logical API call through the retrier. opts may carry
-// a per-call base-URL override; the accounting hooks see the resolved
-// target.
+// call drives one logical API call through the retrier: it encodes in
+// and hands the body to callBody.
 func (c *Client) call(ctx context.Context, opts *CallOpts, path string, in, out any) error {
-	base := c.base
-	if opts != nil && opts.BaseURL != "" {
-		base = strings.TrimRight(opts.BaseURL, "/")
-	}
 	c.requests.Add(1)
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("client: encoding request: %w", err)
 	}
+	return c.callBody(ctx, opts, path, body, out)
+}
+
+// callBody posts an encoded body through the retrier; the caller has
+// counted the request. opts may carry a per-call base-URL override; the
+// accounting hooks see the resolved target.
+func (c *Client) callBody(ctx context.Context, opts *CallOpts, path string, body []byte, out any) error {
+	base := c.base
+	if opts != nil && opts.BaseURL != "" {
+		base = strings.TrimRight(opts.BaseURL, "/")
+	}
 	if c.onCallStart != nil {
 		c.onCallStart(base)
 	}
 	start := time.Now()
-	err = c.retrier.Do(ctx, func(actx context.Context) error {
+	err := c.retrier.Do(ctx, func(actx context.Context) error {
 		return c.post(actx, base, path, body, out)
 	})
 	if c.onCallEnd != nil {
@@ -325,6 +345,10 @@ func (c *Client) post(ctx context.Context, base, path string, body []byte, out a
 	}
 	if resp.StatusCode != http.StatusOK {
 		return httpError(resp, data)
+	}
+	if raw, ok := out.(*json.RawMessage); ok && json.Valid(data) {
+		*raw = data
+		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decoding %d-byte response: %w", len(data), err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -520,20 +521,34 @@ type RouteInfo struct {
 	PeerFilled bool
 }
 
-// Solve routes one request by fingerprint affinity, with one
-// cross-backend failover. fp is the instance's canonical fingerprint
-// (the routing key).
+// Solve routes one typed request: SolveRouted over its encoding, with
+// the answer decoded. fp is the instance's canonical fingerprint (the
+// routing key).
 func (c *Cluster) Solve(ctx context.Context, req *api.SolveRequest, fp string) (*api.SolveResponse, RouteInfo, error) {
-	return c.SolveRouted(ctx, req, fp, "")
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, RouteInfo{}, fmt.Errorf("cluster: encoding request: %w", err)
+	}
+	answer, route, err := c.SolveRouted(ctx, body, fp)
+	if err != nil {
+		return nil, route, err
+	}
+	var resp api.SolveResponse
+	if err := json.Unmarshal(answer, &resp); err != nil {
+		return nil, route, fmt.Errorf("cluster: decoding answer from %s: %w", route.BackendURL, err)
+	}
+	return &resp, route, nil
 }
 
-// SolveRouted is Solve with the near-miss hash (bccfp2/1) available for
-// fleet peer fill: when the chosen primary joined the membership
-// recently (its cache is cold for remapped fingerprints), the previous
-// owner's cached plan — exact key first, near-miss sibling second — is
-// attached as the request's warm seed before dispatch. fp2 may be empty
-// (exact-key peer fill still applies).
-func (c *Cluster) SolveRouted(ctx context.Context, req *api.SolveRequest, fp, fp2 string) (*api.SolveResponse, RouteInfo, error) {
+// SolveRouted routes one encoded /v1/solve body by fingerprint
+// affinity, with one cross-backend failover, and returns the answering
+// backend's 200 body unchanged. fp is the body's canonical fingerprint
+// (the routing key). The body is forwarded as given, except under fleet
+// peer fill: when the chosen primary joined the membership recently
+// (its cache is cold for remapped fingerprints), the previous owner's
+// cached plan — exact key first, near-miss sibling second — is attached
+// as the request's warm seed before dispatch.
+func (c *Cluster) SolveRouted(ctx context.Context, body []byte, fp string) ([]byte, RouteInfo, error) {
 	primary, secondary, affinity := c.pick(fp, nil)
 	if primary == nil {
 		c.noBackend.Add(1)
@@ -545,8 +560,8 @@ func (c *Cluster) SolveRouted(ctx context.Context, req *api.SolveRequest, fp, fp
 		c.fallbackPicks.Add(1)
 	}
 	route := RouteInfo{BackendURL: primary.url, BackendID: primary.displayID(), Affinity: affinity}
-	if filled := c.maybePeerFill(ctx, req, fp, fp2, primary, secondary); filled != req {
-		req = filled
+	if filled, ok := c.maybePeerFill(ctx, body, fp, primary, secondary); ok {
+		body = filled
 		route.PeerFilled = true
 	}
 
@@ -561,10 +576,10 @@ func (c *Cluster) SolveRouted(ctx context.Context, req *api.SolveRequest, fp, fp
 			route.FailedOver = true
 			c.failovers.Add(1)
 		}
-		resp, err := c.callSolve(ctx, b, req)
+		answer, err := c.callSolve(ctx, b, body)
 		if err == nil {
 			route.BackendURL, route.BackendID = b.url, b.displayID()
-			return resp, route, nil
+			return answer, route, nil
 		}
 		if ctx.Err() != nil {
 			// The caller's own deadline/cancel: stop routing around it.
@@ -584,15 +599,15 @@ func (c *Cluster) SolveRouted(ctx context.Context, req *api.SolveRequest, fp, fp
 
 // callSolve runs one solve against one backend under its breaker, and
 // folds the outcome into the backend's health.
-func (c *Cluster) callSolve(ctx context.Context, b *backend, req *api.SolveRequest) (*api.SolveResponse, error) {
+func (c *Cluster) callSolve(ctx context.Context, b *backend, body []byte) ([]byte, error) {
 	if !b.breaker.Allow() {
 		return nil, fmt.Errorf("backend %s: %w", b.url, resilience.ErrOpen)
 	}
 	b.acct.requests.Add(1)
 	start := time.Now()
-	resp, err := c.cl.SolveOpts(ctx, req, &client.CallOpts{BaseURL: b.url})
+	answer, err := c.cl.SolveBody(ctx, body, &client.CallOpts{BaseURL: b.url})
 	c.recordOutcome(b, time.Since(start), err)
-	return resp, err
+	return answer, err
 }
 
 // callBatch is callSolve for one scatter-gather shard.

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,8 +16,10 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/dataset"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/resilience"
+	"repro/internal/solvecache"
 )
 
 // GatewayConfig tunes the HTTP front of a Cluster. The zero value gets
@@ -54,12 +58,23 @@ type Gateway struct {
 	badRequests atomic.Uint64
 	panics      atomic.Uint64
 	draining    atomic.Bool
+
+	// routes maps the SHA-256 of a /v1/solve body that validated to its
+	// routing fingerprint, so a byte-identical repeat is routed without
+	// being decoded or built into an instance.
+	routes *solvecache.Cache
 }
+
+// routeMemoEntries bounds the gateway's route memo. An entry holds a
+// 32-byte digest and a 72-byte fingerprint, so a full memo takes on the
+// order of a megabyte.
+const routeMemoEntries = 4096
 
 // NewGateway wraps c. The gateway shares the cluster's metric registry,
 // so one /metrics scrape covers routing and HTTP serving alike.
 func NewGateway(c *Cluster, cfg GatewayConfig) *Gateway {
-	g := &Gateway{cl: c, cfg: cfg.withDefaults(), reg: c.Registry(), start: time.Now()}
+	g := &Gateway{cl: c, cfg: cfg.withDefaults(), reg: c.Registry(), start: time.Now(),
+		routes: solvecache.New(routeMemoEntries, 0)}
 	g.reg.GaugeFunc("bcc_gate_uptime_seconds", "Seconds since the gateway started.", nil,
 		func() float64 { return time.Since(g.start).Seconds() })
 	g.reg.CounterFunc("bcc_gate_requests_total", "Requests accepted by the gateway (batch items count).", nil,
@@ -113,50 +128,91 @@ func (g *Gateway) Handler() http.Handler {
 // backends). Validation failures mirror the backend's 400s so a bad
 // request is rejected at the edge without spending a backend call.
 func RouteFingerprint(req *api.SolveRequest) (string, *api.Error) {
-	fp, _, apiErr := RouteFingerprints(req)
-	return fp, apiErr
+	in, apiErr := routeInstance(req)
+	if apiErr != nil {
+		return "", apiErr
+	}
+	return in.Fingerprint(), nil
 }
 
 // RouteFingerprints is RouteFingerprint plus the near-miss hash
-// (bccfp2/1) — the instance is already materialized for the canonical
-// fingerprint, so the second hash costs one more pass, and it lets the
-// cluster run sibling peer-fill lookups at the edge.
+// (bccfp2/1) of the same instance.
 func RouteFingerprints(req *api.SolveRequest) (fp, fp2 string, _ *api.Error) {
-	in, err := dataset.FromFormat(req.Instance)
-	if err != nil {
-		return "", "", api.Errorf(http.StatusBadRequest, "invalid instance: %v", err)
-	}
-	if req.Budget != nil {
-		b := *req.Budget
-		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-			return "", "", api.Errorf(http.StatusBadRequest, "invalid budget override %v", b)
-		}
-		in = in.WithBudget(b)
+	in, apiErr := routeInstance(req)
+	if apiErr != nil {
+		return "", "", apiErr
 	}
 	return in.Fingerprint(), in.Fingerprint2(), nil
 }
 
+// routeInstance builds the instance a request names, budget override
+// applied, with the backend's validation 400s.
+func routeInstance(req *api.SolveRequest) (*model.Instance, *api.Error) {
+	in, err := dataset.FromFormat(req.Instance)
+	if err != nil {
+		return nil, api.Errorf(http.StatusBadRequest, "invalid instance: %v", err)
+	}
+	if req.Budget != nil {
+		b := *req.Budget
+		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+			return nil, api.Errorf(http.StatusBadRequest, "invalid budget override %v", b)
+		}
+		in = in.WithBudget(b)
+	}
+	return in, nil
+}
+
+// handleSolve forwards the body it received and relays the backend's
+// answer, neither re-encoded. Both hops write api.SolveResponse through
+// identical writeJSON helpers, so the relayed bytes are the ones a
+// decode and re-encode here would produce.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	var req api.SolveRequest
-	if apiErr := decodeJSON(w, r, g.cfg.MaxBodyBytes, &req); apiErr != nil {
-		g.badRequests.Add(1)
-		writeError(w, apiErr)
-		return
-	}
-	fp, fp2, apiErr := RouteFingerprints(&req)
+	body, apiErr := readBody(w, r, g.cfg.MaxBodyBytes)
 	if apiErr != nil {
 		g.badRequests.Add(1)
 		writeError(w, apiErr)
 		return
 	}
-	resp, route, err := g.cl.SolveRouted(r.Context(), &req, fp, fp2)
+	fp, apiErr := g.routeFingerprint(body)
+	if apiErr != nil {
+		g.badRequests.Add(1)
+		writeError(w, apiErr)
+		return
+	}
+	answer, route, err := g.cl.SolveRouted(r.Context(), body, fp)
 	if err != nil {
 		writeError(w, routeError(err))
 		return
 	}
 	w.Header().Set(api.BackendHeader, route.BackendID)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(answer)
+}
+
+// routeFingerprint returns the routing fingerprint of a /v1/solve body:
+// from the route memo for a byte-identical repeat, else by decoding the
+// body and computing RouteFingerprint. Only bodies that validate are
+// memoized, so an invalid one is answered 400 here every time.
+func (g *Gateway) routeFingerprint(body []byte) (string, *api.Error) {
+	// SHA-256, not a faster non-cryptographic hash: a collision would
+	// route, and on the backend answer, one body as another.
+	sum := sha256.Sum256(body)
+	digest := string(sum[:])
+	if fp, ok := g.routes.Get(digest); ok {
+		return fp.(string), nil
+	}
+	var req api.SolveRequest
+	if apiErr := decodeBody(body, &req); apiErr != nil {
+		return "", apiErr
+	}
+	fp, apiErr := RouteFingerprint(&req)
+	if apiErr != nil {
+		return "", apiErr
+	}
+	g.routes.Put(digest, fp)
+	return fp, nil
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -300,10 +356,11 @@ func routeError(err error) *api.Error {
 	}
 }
 
-// statusWriter, decodeJSON, writeError and writeJSON intentionally
-// mirror internal/server's unexported helpers — the packages must not
-// import each other (server is a backend, cluster fronts backends), and
-// the HTTP contract of both must stay byte-identical.
+// statusWriter, decodeJSON, readBody, decodeBody, writeError and
+// writeJSON intentionally mirror internal/server's unexported helpers —
+// the packages must not import each other (server is a backend, cluster
+// fronts backends), and the HTTP contract of both must stay
+// byte-identical.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -322,14 +379,34 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *api.Error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	body, apiErr := readBody(w, r, maxBytes)
+	if apiErr != nil {
+		return apiErr
+	}
+	return decodeBody(body, dst)
+}
+
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *api.Error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBytes {
+		// The spare MinRead keeps the final read, which finds EOF, from
+		// doubling a buffer the body filled exactly.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return api.Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return nil, api.Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		}
+		return nil, api.Errorf(http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
+func decodeBody(body []byte, dst any) *api.Error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
 		return api.Errorf(http.StatusBadRequest, "decoding request: %v", err)
 	}
 	return nil

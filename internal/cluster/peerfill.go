@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"time"
 
 	"repro/internal/algo"
 	"repro/internal/api"
 	"repro/internal/client"
+	"repro/internal/dataset"
 )
 
 // Fleet peer fill (DESIGN.md §17): when a backend joins a running
@@ -25,49 +27,61 @@ import (
 // the join (the cluster already computes it as the failover
 // secondary).
 
-// maybePeerFill returns req, or a copy with WarmPlan attached when a
-// peer fill applies and the donor had a usable plan. Fill applies when
-// the primary joined within the configured window, the request carries
-// no warm seed of its own, the cache is in play, and the algorithm can
-// consume warm starts. Failures are misses, never errors: the solve
-// proceeds cold exactly as it would have without peer fill.
-func (c *Cluster) maybePeerFill(ctx context.Context, req *api.SolveRequest, fp, fp2 string, primary, donor *backend) *api.SolveRequest {
-	if c.cfg.PeerFillWindow < 0 || donor == nil || len(req.WarmPlan) > 0 || req.NoCache {
-		return req
+// maybePeerFill returns body re-encoded with a WarmPlan attached, and
+// true, when a peer fill applies and the donor had a usable plan. Fill
+// applies when the primary joined within the configured window, the
+// request carries no warm seed of its own, the cache is in play, and
+// the algorithm can consume warm starts. The body is decoded only once
+// the primary is inside its window. Failures are misses, never errors:
+// the solve proceeds cold exactly as it would have without peer fill.
+func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, fp string, primary, donor *backend) ([]byte, bool) {
+	if c.cfg.PeerFillWindow < 0 || donor == nil {
+		return nil, false
 	}
 	joined := primary.joinedAtNS.Load()
 	if joined == 0 || time.Since(time.Unix(0, joined)) > c.cfg.PeerFillWindow {
-		return req
+		return nil, false
+	}
+	var req api.SolveRequest
+	if json.Unmarshal(body, &req) != nil || len(req.WarmPlan) > 0 || req.NoCache {
+		return nil, false
 	}
 	algoName := req.Algo
 	if algoName == "" {
 		algoName = "abcc"
 	}
 	if d, ok := algo.Lookup(algoName); !ok || !d.WarmStart {
-		return req
+		return nil, false
 	}
 
 	fctx, cancel := context.WithTimeout(ctx, c.cfg.PeerFillTimeout)
 	defer cancel()
 	opts := &client.CallOpts{BaseURL: donor.url}
 	entry, err := c.cl.CacheEntryOpts(fctx, api.CacheKey(fp, algoName, req.Seed, req.Target), opts)
-	if !usablePlan(entry, err) && fp2 != "" {
+	if !usablePlan(entry, err) {
 		// No exact answer on the donor; any near-miss sibling (same
-		// queries, different budget/utilities) still seeds well.
-		entry, err = c.cl.CacheSiblingOpts(fctx, fp2, algoName, opts)
+		// queries, different budget/utilities) still seeds well. Only
+		// this lookup reads the near-miss hash, so it is computed here.
+		if in, ferr := dataset.FromFormat(req.Instance); ferr == nil {
+			entry, err = c.cl.CacheSiblingOpts(fctx, in.Fingerprint2(), algoName, opts)
+		}
 	}
 	if !usablePlan(entry, err) {
 		c.peerFillMisses.Add(1)
-		return req
+		return nil, false
 	}
 	warm := make([][]string, len(entry.Response.Classifiers))
 	for i, pc := range entry.Response.Classifiers {
 		warm[i] = pc.Props
 	}
+	req.WarmPlan = warm
+	filled, err := json.Marshal(&req)
+	if err != nil {
+		c.peerFillMisses.Add(1)
+		return nil, false
+	}
 	c.peerFills.Add(1)
-	filled := *req
-	filled.WarmPlan = warm
-	return &filled
+	return filled, true
 }
 
 func usablePlan(entry *api.CacheEntryResponse, err error) bool {

@@ -20,6 +20,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/resilience"
 )
 
@@ -77,6 +78,14 @@ type Report struct {
 	CacheHits  uint64            `json:"cache_hits"`
 	Statuses   map[string]uint64 `json:"statuses,omitempty"`
 	Errors     map[string]uint64 `json:"errors,omitempty"`
+	// LatencyP50MS, LatencyP95MS and LatencyP99MS are quantiles of the
+	// tallied operations' latencies, failures included, in milliseconds at
+	// the resolution of obs.DefBuckets: each is the upper bound of the
+	// bucket where the quantile falls (obs.Histogram.Quantile). They are
+	// 0 when no operation was tallied.
+	LatencyP50MS float64 `json:"latency_p50_ms"`
+	LatencyP95MS float64 `json:"latency_p95_ms"`
+	LatencyP99MS float64 `json:"latency_p99_ms"`
 	// Targets breaks the outcomes down per target; present only when the
 	// run drove more than one.
 	Targets map[string]*TargetReport `json:"targets,omitempty"`
@@ -186,6 +195,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	defer cancel()
 
 	start := time.Now()
+	latency := obs.NewHistogram(obs.DefBuckets)
 	tallies := make([]*tally, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -195,6 +205,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		go func(worker int) {
 			defer wg.Done()
 			for seq := worker; ctx.Err() == nil; seq++ {
+				opStart := time.Now()
 				t.ops++
 				// Each op picks its target round-robin; a whole batch call
 				// goes to one target so its per-target row stays meaningful.
@@ -240,6 +251,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						// nothing about the server, drop it from the tally.
 						t.ops--
 						tt.Ops--
+						continue
 					case err != nil:
 						t.failure(err)
 						tt.Failed++
@@ -248,6 +260,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						tt.OK++
 					}
 				}
+				latency.Observe(time.Since(opStart).Seconds())
 				if cfg.OpDelay > 0 {
 					timer := time.NewTimer(cfg.OpDelay)
 					select {
@@ -269,6 +282,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		// multi-target run reads per-target outcomes from Targets instead.
 		Client: targets[0].Client.Stats(),
 	}
+	// Quantile reads 0 with no observation, which the fields document.
+	p50, _ := latency.Quantile(0.50)
+	p95, _ := latency.Quantile(0.95)
+	p99, _ := latency.Quantile(0.99)
+	rep.LatencyP50MS, rep.LatencyP95MS, rep.LatencyP99MS = p50*1000, p95*1000, p99*1000
 	for _, t := range tallies {
 		rep.Ops += t.ops
 		rep.OK += t.ok
@@ -311,6 +329,7 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "batch items=%d item-errors=%d\n", r.BatchItems, r.ItemErrors)
 	}
 	fmt.Fprintf(&b, "cache hits=%d\n", r.CacheHits)
+	fmt.Fprintf(&b, "latency p50=%gms p95=%gms p99=%gms\n", r.LatencyP50MS, r.LatencyP95MS, r.LatencyP99MS)
 	writeMap(&b, "statuses", r.Statuses)
 	writeMap(&b, "errors", r.Errors)
 	if len(r.Targets) > 0 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -85,6 +86,52 @@ func TestRunTalliesResultsAndBatches(t *testing.T) {
 	}
 	if s := rep.String(); s == "" {
 		t.Error("empty report rendering")
+	}
+}
+
+// Every tallied op's latency lands in the report's quantiles, in both
+// the JSON and the text rendering. One call in ten is held 60 ms, so the
+// tail quantiles must sit in that slow tenth and above the median.
+func TestRunReportsLatencyQuantiles(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%10 == 0 {
+			time.Sleep(60 * time.Millisecond)
+		}
+		json.NewEncoder(w).Encode(&api.SolveResponse{Status: "complete"})
+	}))
+	defer srv.Close()
+
+	rep, err := Run(context.Background(), Config{
+		Client:      newTestClient(t, srv.URL),
+		Requests:    SyntheticWorkload(2, 3),
+		Concurrency: 2,
+		Duration:    400 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops < 20 {
+		t.Fatalf("too few ops for a tail: %d", rep.Ops)
+	}
+	p50, p95, p99 := rep.LatencyP50MS, rep.LatencyP95MS, rep.LatencyP99MS
+	if !(p50 > 0 && p50 <= p95 && p95 <= p99) {
+		t.Fatalf("quantiles p50=%v p95=%v p99=%v: want present and ordered", p50, p95, p99)
+	}
+	if p99 < 60 {
+		t.Errorf("p99 = %v ms, want at least the 60 ms of the slow tenth", p99)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"latency_p50_ms"`, `"latency_p95_ms"`, `"latency_p99_ms"`} {
+		if !strings.Contains(string(raw), key) {
+			t.Errorf("JSON report lacks %s: %s", key, raw)
+		}
+	}
+	if !strings.Contains(rep.String(), "latency p50=") {
+		t.Errorf("text report lacks the latency line:\n%s", rep.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -261,6 +262,34 @@ func TestAddClassifierOverridesCost(t *testing.T) {
 	s.AddClassifier(Classifier{Props: set(in, "x"), Cost: 0})
 	if got := s.Cost(); got != 0 {
 		t.Fatalf("Cost = %v, want 0 (override)", got)
+	}
+}
+
+// A plan's cost must not depend on map iteration order: with fractional
+// prices, floating-point addition is not associative, so summing in
+// whatever order the selected map yields gives different low bits.
+func TestSolutionCostBitStable(t *testing.T) {
+	b := NewBuilder()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 60; i++ {
+		p := fmt.Sprintf("p%02d", i)
+		b.AddQuery(1, p)
+		b.SetCost(rng.Float64()*10+0.1, p)
+	}
+	in := b.MustInstance(1000)
+	s := NewSolution(in)
+	var want float64
+	for _, c := range in.Classifiers() {
+		s.Add(c.Props)
+	}
+	for _, c := range s.Classifiers() {
+		want += c.Cost
+	}
+	for i := 0; i < 50; i++ {
+		if got := s.Clone().Cost(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Cost = %v (bits %#x), want %v (bits %#x) summed in classifier order",
+				i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }
 

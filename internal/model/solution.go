@@ -71,10 +71,11 @@ func (s *Solution) Classifiers() []Classifier {
 	return out
 }
 
-// Cost returns the total construction cost of the selected classifiers.
+// Cost returns the total construction cost of the selected classifiers,
+// summed in Classifiers order so one plan always reports the same bits.
 func (s *Solution) Cost() float64 {
 	var sum float64
-	for _, c := range s.selected {
+	for _, c := range s.Classifiers() {
 		sum += c.Cost
 	}
 	return sum

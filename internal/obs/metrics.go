@@ -77,7 +77,10 @@ type Histogram struct {
 	sum    atomic.Uint64   // float64 bits, CAS-added
 }
 
-func newHistogram(uppers []float64) *Histogram {
+// NewHistogram returns a histogram over the given strictly ascending
+// bucket upper bounds, outside any registry (a registry's Histogram
+// method makes the exported kind).
+func NewHistogram(uppers []float64) *Histogram {
 	for i := 1; i < len(uppers); i++ {
 		if uppers[i] <= uppers[i-1] {
 			panic("obs: histogram buckets must be strictly ascending")

@@ -175,7 +175,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // with the given bucket upper bounds (ascending; +Inf is implicit) on
 // first use. Later calls for an existing series ignore buckets.
 func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64) *Histogram {
-	return r.lookup(name, help, KindHistogram, labels, func() series { return newHistogram(buckets) }).(*Histogram)
+	return r.lookup(name, help, KindHistogram, labels, func() series { return NewHistogram(buckets) }).(*Histogram)
 }
 
 // WritePrometheus renders every family in the Prometheus text

@@ -44,6 +44,8 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.rejected.Load()) })
 	reg.CounterFunc("bcc_shed_tier_total", "Exact-tier requests downgraded to the fast tier under queue pressure.", nil,
 		func() float64 { return float64(s.shedTier.Load()) })
+	reg.CounterFunc("bcc_repeat_answers_total", "Solve requests answered through the body-digest repeat memo.", nil,
+		func() float64 { return float64(s.repeatAnswers.Load()) })
 	reg.CounterFunc("bcc_bad_requests_total", "Requests failing validation (4xx).", nil,
 		func() float64 { return float64(s.badRequests.Load()) })
 	reg.CounterFunc("bcc_deadline_results_total", "HTTP 200 answers carrying a non-complete status.", nil,

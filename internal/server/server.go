@@ -7,10 +7,17 @@
 //
 // Request flow for POST /v1/solve:
 //
-//	decode → validate (dataset.FromFormat) → Fingerprint → cache lookup
-//	→ single-flight join or pool admission → SolveCtx under the request
-//	deadline → respond (HTTP 200 even on deadline, carrying the anytime
-//	result with status=deadline) → cache Complete results
+//	read body → SHA-256 → repeat memo hit? → canonical cache lookup → respond
+//	otherwise: decode → validate (dataset.FromFormat) → Fingerprint →
+//	cache lookup → single-flight join or pool admission → SolveCtx under
+//	the request deadline → respond (HTTP 200 even on deadline, carrying
+//	the anytime result with status=deadline) → cache Complete results →
+//	memoize the body digest
+//
+// The repeat memo maps a body's digest to the parts of its canonical
+// cache key, never to an answer, so a byte-identical repeat skips the
+// decode, the instance build and the fingerprint while the canonical
+// cache stays the only store of answers.
 //
 // Only Complete results are cached: a deadline-truncated plan is valid
 // but inferior, and must not shadow the full solution for later callers.
@@ -24,8 +31,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	crand "crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -173,6 +182,10 @@ type Server struct {
 	// pipe is the continuous workload pipeline, nil until OpenPipeline
 	// (which requires OpenJobs); handlers answer 501 while nil.
 	pipe *pipeline.Pipeline
+	// repeats maps the SHA-256 of a /v1/solve body that answered 200 to
+	// its *repeatKey. It is bounded by the cache's own size and TTL, so
+	// it is off whenever caching is.
+	repeats *solvecache.Cache
 
 	closeOnce sync.Once
 
@@ -180,6 +193,7 @@ type Server struct {
 	solves          atomic.Uint64 // underlying solver executions on the pool
 	rejected        atomic.Uint64 // 429 load-shed answers
 	shedTier        atomic.Uint64 // exact-tier requests downgraded to the fast tier
+	repeatAnswers   atomic.Uint64 // requests answered through the body-digest repeat memo
 	badRequests     atomic.Uint64 // 4xx validation failures
 	deadlineResults atomic.Uint64 // 200 answers with a non-complete status
 	inflight        atomic.Int64  // solver executions running on the pool right now
@@ -210,11 +224,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:   cfg,
-		cache: solvecache.New(cfg.CacheSize, cfg.CacheTTL),
-		pool:  NewPool(cfg.Workers, cfg.Queue),
-		start: time.Now(),
-		reg:   obs.NewRegistry(),
+		cfg:     cfg,
+		cache:   solvecache.New(cfg.CacheSize, cfg.CacheTTL),
+		repeats: solvecache.New(cfg.CacheSize, cfg.CacheTTL),
+		pool:    NewPool(cfg.Workers, cfg.Queue),
+		start:   time.Now(),
+		reg:     obs.NewRegistry(),
 	}
 	// The near-miss (sibling) index: every cached response is tagged by
 	// its bccfp2/1 hash + algo, and Import re-tags, so a bccsnap restore
@@ -348,14 +363,11 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 		s.badRequests.Add(1)
 		return nil, apiErr
 	}
-	// Tier shedding: with a deep backlog, answer exact-tier requests from
-	// the fast tier now rather than queueing them behind it. Decided per
-	// request at admission, before the cache key is formed, so the key
-	// names the algorithm that will actually run.
-	served := requested
-	if s.cfg.ShedTierDepth > 0 && requested == shedFromAlgo && s.pool.QueueDepth() > s.cfg.ShedTierDepth {
+	// Decided per request at admission, before the cache key is formed,
+	// so the key names the algorithm that will actually run.
+	served := s.tierFor(requested)
+	if served != requested {
 		s.shedTier.Add(1)
-		served = shedToAlgo
 	}
 	key := cacheKey(fp, served, req)
 
@@ -443,8 +455,23 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 	if !ok || tmpl == nil {
 		return nil, errorf(http.StatusInternalServerError, "solve produced no result")
 	}
-	// Copy the shared/cached template before per-request mutation; the
-	// classifier slice is shared read-only.
+	return s.answer(tmpl, requested, served, outcome, req.IncludePlan, start), nil
+}
+
+// tierFor is the tier-shedding decision: with a deep backlog, an
+// exact-tier request is answered from the fast tier now rather than
+// queueing behind the backlog. It returns the algorithm to serve.
+func (s *Server) tierFor(requested string) string {
+	if s.cfg.ShedTierDepth > 0 && requested == shedFromAlgo && s.pool.QueueDepth() > s.cfg.ShedTierDepth {
+		return shedToAlgo
+	}
+	return requested
+}
+
+// answer makes one request's response from a shared template (a cached,
+// shared or freshly solved answer). The template is copied before any
+// per-request field is set; its classifier slice is shared read-only.
+func (s *Server) answer(tmpl *SolveResponse, requested, served string, outcome solvecache.Outcome, includePlan bool, start time.Time) *SolveResponse {
 	resp := *tmpl
 	if served != requested {
 		// The cached template is a pure fast-tier answer (Algo=submod);
@@ -454,14 +481,53 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 	}
 	resp.Cached = outcome == solvecache.Hit
 	resp.Shared = outcome == solvecache.Shared
-	if !req.IncludePlan {
+	if !includePlan {
 		resp.Classifiers = nil
 	}
 	resp.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if resp.Status != bcc.Complete.String() {
 		s.deadlineResults.Add(1)
 	}
-	return &resp, nil
+	return &resp
+}
+
+// repeatKey is what the first answer to a /v1/solve body worked out
+// about it: the parts of its canonical cache key and whether it asked
+// for the plan. A byte-identical body carries the same values.
+type repeatKey struct {
+	fp          string
+	algo        string // requested, after the abcc default
+	seed        int64
+	target      float64
+	includePlan bool
+}
+
+// solveRepeat answers a byte-identical repeat of a body that answered
+// 200 before, doing what Solve does for a cache hit and in the same
+// order: the admission fault point, the shed decision, the cache fault
+// point and the canonical lookup. It skips only the decode, the
+// instance build and the fingerprint, whose results k holds. It returns
+// nil when the canonical entry is gone (evicted, expired, or never
+// stored); the caller then takes Solve's path.
+func (s *Server) solveRepeat(k *repeatKey) *SolveResponse {
+	start := time.Now()
+	guard.Inject("server.admit")
+	served := s.tierFor(k.algo)
+	guard.Inject("solvecache.get")
+	v, ok := s.cache.Get(api.CacheKey(k.fp, served, k.seed, k.target))
+	if !ok {
+		return nil
+	}
+	tmpl, _ := v.(*SolveResponse)
+	if tmpl == nil {
+		return nil
+	}
+	s.requests.Add(1)
+	s.repeatAnswers.Add(1)
+	if served != k.algo {
+		s.shedTier.Add(1)
+	}
+	return s.answer(tmpl, k.algo, served, solvecache.Hit, k.includePlan, start)
 }
 
 // observeSolve records one solver execution in the per-algo/status
@@ -561,8 +627,24 @@ func cacheKey(fp, algo string, req *SolveRequest) string {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	body, apiErr := readBody(w, r, s.cfg.MaxBodyBytes)
+	if apiErr != nil {
+		s.badRequests.Add(1)
+		writeError(w, apiErr)
+		return
+	}
+	// SHA-256, not a faster non-cryptographic hash: a collision would
+	// hand one caller the answer to another caller's body.
+	sum := sha256.Sum256(body)
+	digest := string(sum[:])
+	if k, ok := s.repeats.Get(digest); ok {
+		if resp := s.solveRepeat(k.(*repeatKey)); resp != nil {
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+	}
 	var req SolveRequest
-	if apiErr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
+	if apiErr := decodeBody(body, &req); apiErr != nil {
 		s.badRequests.Add(1)
 		writeError(w, apiErr)
 		return
@@ -571,6 +653,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if apiErr != nil {
 		writeError(w, apiErr)
 		return
+	}
+	if !req.NoCache {
+		// Solve answers with the request's fingerprint and the algorithm
+		// it asked for (after the abcc default), even when shed.
+		s.repeats.Put(digest, &repeatKey{
+			fp: resp.Fingerprint, algo: resp.Algo,
+			seed: req.Seed, target: req.Target, includePlan: req.IncludePlan,
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -666,6 +756,7 @@ type Statz struct {
 	Solves          uint64           `json:"solves"`
 	Rejected        uint64           `json:"rejected"`
 	ShedTier        uint64           `json:"shed_tier"`
+	RepeatAnswers   uint64           `json:"repeat_answers"`
 	BadRequests     uint64           `json:"bad_requests"`
 	DeadlineResults uint64           `json:"deadline_results"`
 	PanicsRecovered uint64           `json:"panics_recovered"`
@@ -704,6 +795,7 @@ func (s *Server) snapshot() Statz {
 	st.Solves = s.solves.Load()
 	st.Rejected = s.rejected.Load()
 	st.ShedTier = s.shedTier.Load()
+	st.RepeatAnswers = s.repeatAnswers.Load()
 	st.BadRequests = s.badRequests.Load()
 	st.DeadlineResults = s.deadlineResults.Load()
 	st.PanicsRecovered = s.panics.Load()
@@ -819,14 +911,38 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *Error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	body, apiErr := readBody(w, r, maxBytes)
+	if apiErr != nil {
+		return apiErr
+	}
+	return decodeBody(body, dst)
+}
+
+// readBody reads a request body whole, capped at maxBytes: 413 past the
+// cap, 400 when the read itself fails.
+func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *Error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBytes {
+		// The spare MinRead keeps the final read, which finds EOF, from
+		// doubling a buffer the body filled exactly.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+			return nil, errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
 		}
+		return nil, errorf(http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeBody decodes one JSON value from body into dst, refusing
+// unknown fields.
+func decodeBody(body []byte, dst any) *Error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
 		return errorf(http.StatusBadRequest, "decoding request: %v", err)
 	}
 	return nil
