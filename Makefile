@@ -85,7 +85,7 @@ cluster-smoke:
 ## detector — a 10-second chaos run over internal/jobs with panic
 ## faults armed at every jobs.* point (append/checkpoint/resume), and
 ## the kill-and-resume soak: real bccserver processes SIGKILLed
-## mid-job (one GMC3 job, one evolutionary job), restarted on the same
+## mid-job (one GMC3 job), restarted on the same
 ## -jobs-dir, and required to finish the same job from its checkpoint
 ## (resumed counter > 0).
 jobs-smoke:
@@ -126,7 +126,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/evo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

@@ -13,11 +13,11 @@
 //     pruning, a knapsack solver for the BCC(1) subproblem, a Quadratic
 //     Knapsack solver built on Heaviest-k-Subgraph heuristics for the
 //     BCC(2) subproblem, MC3 local search and residual iteration.
-//   - SolveRand / SolveIG1 / SolveIG2 are the paper's baselines, and
-//     BruteForce the exact reference for small instances.
-//   - SolveGMC3 answers "cheapest classifier set reaching utility T"
-//     (Section 5, Definition 5.1) and SolveECC "best utility per cost"
-//     (Definition 5.2).
+//   - Run runs any registered solver by name: "abcc", the paper's
+//     baselines "rand", "ig1" and "ig2", the exact reference "brute" for
+//     small instances, "gmc3" for "cheapest classifier set reaching
+//     utility T" (Section 5, Definition 5.1), "ecc" for "best utility per
+//     cost" (Definition 5.2), and the submodular greedy "submod".
 //
 // A minimal use:
 //
@@ -33,22 +33,21 @@ package bcc
 
 import (
 	"context"
+	"fmt"
 	"io"
+	"strings"
 
+	"repro/internal/algo"
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/ecc"
-	"repro/internal/evo"
-	"repro/internal/gmc3"
 	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/overlap"
 	"repro/internal/partial"
 	"repro/internal/propset"
 	"repro/internal/querylog"
-	"repro/internal/submod"
 )
 
 // Core model types.
@@ -78,20 +77,12 @@ type (
 	Options = core.Options
 	// Result reports a BCC solver run.
 	Result = core.Result
-	// GMC3Options tunes the A^GMC3 solver.
-	GMC3Options = gmc3.Options
-	// GMC3Result reports a GMC3 run.
-	GMC3Result = gmc3.Result
-	// ECCResult reports an ECC run.
-	ECCResult = ecc.Result
-	// EvoOptions tunes the anytime evolutionary solver.
-	EvoOptions = evo.Options
-	// EvoResult reports an evolutionary run.
-	EvoResult = evo.Result
-	// SubmodOptions tunes the budgeted submodular greedy.
-	SubmodOptions = submod.Options
-	// SubmodResult reports a submodular-greedy run.
-	SubmodResult = submod.Result
+	// Params carries the knobs of a Run: Seed, the utility Target of
+	// gmc3, and a Warm incumbent for the warm-startable solvers.
+	Params = algo.Params
+	// Outcome reports a Run in one shape for every solver; Achieved
+	// (gmc3) and Ratio (ecc) are set only by the families they name.
+	Outcome = algo.Outcome
 )
 
 // NewBuilder returns a Builder with a fresh property universe.
@@ -130,64 +121,19 @@ func SolveCtx(ctx context.Context, in *Instance, opts Options) Result {
 	return core.SolveCtx(ctx, in, opts)
 }
 
-// SolveRand runs the RAND baseline: uniformly random affordable picks.
-func SolveRand(in *Instance, seed int64) Result { return core.SolveRand(in, seed) }
-
-// SolveIG1 runs the IG1 baseline: per-query cheapest-cover greedy.
-func SolveIG1(in *Instance) Result { return core.SolveIG1(in) }
-
-// SolveIG2 runs the IG2 baseline: per-classifier utility-density greedy.
-func SolveIG2(in *Instance) Result { return core.SolveIG2(in) }
-
-// BruteForce solves small instances exactly (≤ 26 candidate classifiers).
-func BruteForce(in *Instance) (Result, error) { return core.BruteForce(in) }
-
-// SolveGMC3 finds a low-cost classifier set reaching the target utility
-// (Generalized MC3; the instance's budget field is ignored).
-func SolveGMC3(in *Instance, target float64, opts GMC3Options) GMC3Result {
-	return gmc3.Solve(in, target, opts)
-}
-
-// SolveGMC3Ctx is SolveGMC3 under a context; see SolveCtx for the anytime
-// semantics.
-func SolveGMC3Ctx(ctx context.Context, in *Instance, target float64, opts GMC3Options) GMC3Result {
-	return gmc3.SolveCtx(ctx, in, target, opts)
-}
-
-// SolveECC finds the classifier set with the best utility-to-cost ratio
-// (Effective Classifier Construction; the budget field is ignored).
-func SolveECC(in *Instance) ECCResult { return ecc.Solve(in) }
-
-// SolveECCCtx is SolveECC under a context; see SolveCtx for the anytime
-// semantics.
-func SolveECCCtx(ctx context.Context, in *Instance) ECCResult {
-	return ecc.SolveCtx(ctx, in)
-}
-
-// SolveEvo runs the anytime evolutionary solver: a population of
-// budget-feasible classifier subsets under coverage-aware crossover,
-// utility-per-cost mutation and elitism. Deterministic for a fixed
-// EvoOptions.Seed.
-func SolveEvo(in *Instance, opts EvoOptions) EvoResult { return evo.Solve(in, opts) }
-
-// SolveEvoCtx is SolveEvo under a context; see SolveCtx for the anytime
-// semantics. The returned incumbent only improves across generations
-// and never trails the IG1 baseline once the floor individual is
-// evaluated.
-func SolveEvoCtx(ctx context.Context, in *Instance, opts EvoOptions) EvoResult {
-	return evo.SolveCtx(ctx, in, opts)
-}
-
-// SolveSubmod runs the budgeted submodular lazy greedy: cost-scaled and
-// unscaled lazy-evaluation passes over marginal coverage-utility gains,
-// keeping the better result. The fast approximate tier the server sheds
-// into under load.
-func SolveSubmod(in *Instance, opts SubmodOptions) SubmodResult { return submod.Solve(in, opts) }
-
-// SolveSubmodCtx is SolveSubmod under a context; see SolveCtx for the
-// anytime semantics.
-func SolveSubmodCtx(ctx context.Context, in *Instance, opts SubmodOptions) SubmodResult {
-	return submod.SolveCtx(ctx, in, opts)
+// Run runs the registered solver called name on the instance under ctx.
+// The anytime solvers (abcc, gmc3, ecc, submod) honor the context's
+// deadline and cancellation and return their best incumbent, with
+// Outcome.Status reporting why they stopped; contained panics surface
+// as Status Recovered plus Outcome.Err. The error return is for an
+// unknown name or a rejected input, such as brute force on an
+// oversized instance.
+func Run(ctx context.Context, in *Instance, name string, p Params) (Outcome, error) {
+	d, ok := algo.Lookup(name)
+	if !ok {
+		return Outcome{}, fmt.Errorf("bcc: unknown algo %q (registered: %s)", name, strings.Join(algo.Names(), ", "))
+	}
+	return d.Run(ctx, in, p)
 }
 
 // BestBuy generates the simulated BestBuy evaluation workload (≈1000

@@ -2,7 +2,9 @@ package bcc_test
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	bcc "repro"
@@ -36,7 +38,7 @@ func TestQuickstart(t *testing.T) {
 	if res.Utility != 11 {
 		t.Fatalf("utility = %v, want 11 (%v)", res.Utility, res.Solution.Classifiers())
 	}
-	opt, err := bcc.BruteForce(in)
+	opt, err := bcc.Run(context.Background(), in, "brute", bcc.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +50,18 @@ func TestQuickstart(t *testing.T) {
 func TestPublicBaselinesAndComplements(t *testing.T) {
 	in := bcc.Synthetic(3, 300, 50)
 	abcc := bcc.Solve(in, bcc.Options{Seed: 2})
-	for name, r := range map[string]bcc.Result{
-		"RAND": bcc.SolveRand(in, 2),
-		"IG1":  bcc.SolveIG1(in),
-		"IG2":  bcc.SolveIG2(in),
+	run := func(name string, p bcc.Params) bcc.Outcome {
+		t.Helper()
+		out, err := bcc.Run(context.Background(), in, name, p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return out
+	}
+	for name, r := range map[string]bcc.Outcome{
+		"RAND": run("rand", bcc.Params{Seed: 2}),
+		"IG1":  run("ig1", bcc.Params{}),
+		"IG2":  run("ig2", bcc.Params{}),
 	} {
 		if r.Cost > in.Budget()+1e-9 {
 			t.Fatalf("%s exceeded budget", name)
@@ -61,13 +71,27 @@ func TestPublicBaselinesAndComplements(t *testing.T) {
 		}
 	}
 
-	gm := bcc.SolveGMC3(in, in.TotalUtility()*0.3, bcc.GMC3Options{Seed: 2})
-	if !gm.Achieved {
+	gm := run("gmc3", bcc.Params{Seed: 2, Target: in.TotalUtility() * 0.3})
+	if !*gm.Achieved {
 		t.Fatal("GMC3 missed an easy target")
 	}
-	ec := bcc.SolveECC(in)
-	if ec.Ratio <= 0 {
-		t.Fatalf("ECC ratio = %v", ec.Ratio)
+	// Outcome.Ratio is nil when the ratio is infinite (a free plan).
+	ec := run("ecc", bcc.Params{})
+	if ec.Utility <= 0 || ec.Ratio != nil && *ec.Ratio <= 0 {
+		t.Fatalf("ECC ratio = %v/%v", ec.Utility, ec.Cost)
+	}
+}
+
+func TestRunUnknownName(t *testing.T) {
+	in := bcc.Synthetic(3, 50, 20)
+	for _, name := range []string{"evo", "anneal", ""} {
+		out, err := bcc.Run(context.Background(), in, name, bcc.Params{})
+		if err == nil {
+			t.Fatalf("Run(%q) ran: utility %v", name, out.Utility)
+		}
+		if !strings.Contains(err.Error(), "abcc, brute, ecc, gmc3, ig1, ig2, rand, submod") {
+			t.Errorf("Run(%q): error %q does not list the registered names", name, err)
+		}
 	}
 }
 

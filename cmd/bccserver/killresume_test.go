@@ -53,12 +53,6 @@ func TestKillResume(t *testing.T) {
 			t.Fatalf("result did not reach the target: %+v", res)
 		}
 	})
-	t.Run("evo", func(t *testing.T) {
-		res := runKillResume(t, bin, evoJobRequest(t))
-		if res.Utility <= 0 {
-			t.Fatalf("resumed evo job utility = %v, want > 0", res.Utility)
-		}
-	})
 }
 
 // runKillResume drives one job through the SIGKILL/restart pattern:
@@ -264,31 +258,6 @@ func soakJobRequest(t *testing.T) *api.JobRequest {
 			Instance: ff,
 			Algo:     "gmc3",
 			Target:   total * 0.8,
-			Seed:     7,
-		},
-		JobDeadlineMS: (20 * time.Minute).Milliseconds(),
-	}
-}
-
-// evoJobRequest builds an evolutionary job over a synthetic instance
-// large enough that the full evolution spans several doubling slices
-// (seconds plain, tens of seconds under -race) before the solver
-// terminates on its own.
-func evoJobRequest(t *testing.T) *api.JobRequest {
-	t.Helper()
-	in := dataset.Synthetic(7, 1500, 500)
-	var buf bytes.Buffer
-	if err := dataset.Write(&buf, in); err != nil {
-		t.Fatalf("serializing instance: %v", err)
-	}
-	var ff dataset.FileFormat
-	if err := json.Unmarshal(buf.Bytes(), &ff); err != nil {
-		t.Fatalf("decoding instance: %v", err)
-	}
-	return &api.JobRequest{
-		SolveRequest: api.SolveRequest{
-			Instance: ff,
-			Algo:     "evo",
 			Seed:     7,
 		},
 		JobDeadlineMS: (20 * time.Minute).Milliseconds(),

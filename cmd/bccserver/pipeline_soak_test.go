@@ -50,7 +50,7 @@ func TestPipelineKillResume(t *testing.T) {
 	var acked uint64
 
 	// First life: publish one plan from a small window, then acknowledge
-	// a big batch (hundreds of distinct queries, so the evo window solve
+	// a big batch (hundreds of distinct queries, so the abcc window solve
 	// spans checkpoint slices) and die hard while it is unconsumed.
 	srv1 := startPipelineProc(t, bin, walDir)
 	acked += ingestSoakLines(t, srv1.base, 20, 0)
@@ -66,8 +66,10 @@ func TestPipelineKillResume(t *testing.T) {
 	// adopt-inflight path. Conservation must hold either way, so a solve
 	// that finishes faster than our polling only weakens the scenario,
 	// not the assertions.
+	var caught bool
 	waitPipelineStatz(t, srv1.base, "big window in flight or consumed", time.Minute,
-		func(ps *pipelineStatz) bool { return ps.Inflight || ps.sum() == acked })
+		func(ps *pipelineStatz) bool { caught = ps.Inflight; return ps.Inflight || ps.sum() == acked })
+	t.Logf("SIGKILL with the big window in flight: %v", caught)
 	srv1.sigkill(t)
 
 	// Second life: same WAL dir. Every acknowledged record must be
@@ -120,7 +122,7 @@ func startPipelineProc(t *testing.T, bin, walDir string) *serverProc {
 		"-addr", addr,
 		"-wal-dir", walDir,
 		"-window", "1s",
-		"-pipeline-algo", "evo",
+		"-pipeline-algo", "abcc",
 		"-pipeline-budget", "50",
 		"-job-checkpoint", "200ms",
 		"-job-workers", "1",
@@ -151,7 +153,7 @@ func startPipelineProc(t *testing.T, bin, walDir string) *serverProc {
 // ingestSoakLines acknowledges n distinct-pair query-log lines stamped
 // now and returns how many the server accepted (fatal unless all n).
 // Distinct pairs keep the assembled window instance at n queries, so a
-// 600-line batch forces a multi-slice evo solve.
+// 600-line batch forces a multi-slice abcc solve.
 func ingestSoakLines(t *testing.T, base string, n, generation int) uint64 {
 	t.Helper()
 	now := time.Now().Unix()

@@ -1,8 +1,8 @@
-// Golden determinism test for the CLI contract behind
-// `bccsolve -algo evo -seed N`: the same seed must reproduce the same
-// plan bit for bit, across runs and across code motion that does not
-// intend to change the search. The pinned output below is the contract;
-// update it deliberately when the evolutionary search itself changes.
+// Golden tests for the CLI contract behind `bccsolve -algo abcc -seed N`:
+// the same seed must reproduce the same plan bit for bit, across runs
+// and across code motion that does not intend to change the search, and
+// -warm-from must reproduce the cold answer. The pinned output below is
+// the contract; update it deliberately when the solver itself changes.
 package main
 
 import (
@@ -17,51 +17,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// goldenEvo is the normalized bccsolve output (time token stripped,
-// whitespace runs collapsed) for dataset.Synthetic(5, 40, 60) with
-// -algo evo -seed 42.
-const goldenEvo = `evo: utility=261.00 cost=59.00 budget=60.00 covered=8/40
-{s3239} cost=7.00
-{s6309} cost=0.00
-{s3407} cost=6.00
-{s4470} cost=4.00
-{s6873} cost=6.00
-{s9383} cost=4.00
-{s801 s5759} cost=1.00
-{s6892 s9863} cost=12.00
-{s1454 s6492 s8589} cost=7.00
-{s110 s5759 s6900 s8813} cost=6.00
-{s1806 s3224 s4393 s9081 s9998} cost=6.00
-{s1806 s4393 s8181 s9081 s9998} cost=0.00`
-
-func TestEvoSeedGolden(t *testing.T) {
-	bin := buildSolveBinary(t)
-	inst := filepath.Join(t.TempDir(), "inst.json")
-	if err := dataset.WriteFile(inst, dataset.Synthetic(5, 40, 60)); err != nil {
-		t.Fatalf("writing instance: %v", err)
-	}
-
-	run := func() string {
-		cmd := exec.Command(bin, "-in", inst, "-algo", "evo", "-seed", "42", "-v")
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("bccsolve: %v\n%s", err, out)
-		}
-		return normalizeSolveOutput(string(out))
-	}
-
-	first := run()
-	if first != goldenEvo {
-		t.Errorf("evo seed-42 output drifted from the golden pin.\ngot:\n%s\nwant:\n%s", first, goldenEvo)
-	}
-	if second := run(); second != first {
-		t.Errorf("two -seed 42 runs diverged.\nfirst:\n%s\nsecond:\n%s", first, second)
-	}
-}
-
 // goldenWarmAbcc pins the -warm-from contract: seeding a solve with its
 // own previous plan must repair every classifier, reproduce the exact
-// cold answer, and say so. Normalized like goldenEvo.
+// cold answer, and say so. Normalized by normalizeSolveOutput; the
+// cold run's output, which the test also compares, is the same pin
+// without its first line.
 const goldenWarmAbcc = `warm-from: 12 of 12 classifiers survived repair
 abcc: utility=261.00 cost=59.00 budget=60.00 covered=8/40
 {s3239} cost=7.00

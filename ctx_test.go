@@ -33,6 +33,16 @@ func expiredCtx(t *testing.T) context.Context {
 	return ctx
 }
 
+// mustRun is Run, failing the test on an error return.
+func mustRun(t *testing.T, ctx context.Context, in *Instance, name string, p Params) Outcome {
+	t.Helper()
+	out, err := Run(ctx, in, name, p)
+	if err != nil {
+		t.Fatalf("Run %s: %v", name, err)
+	}
+	return out
+}
+
 // Every context-aware façade entry point must honor an already-expired
 // deadline: return promptly with DeadlineExceeded and a non-nil (possibly
 // empty) solution.
@@ -51,10 +61,10 @@ func TestCtxEntryPointsHonorExpiredDeadline(t *testing.T) {
 	}
 	r1 := SolveCtx(ctx, in, Options{})
 	check("SolveCtx", r1.Status, r1.Solution)
-	r2 := SolveGMC3Ctx(ctx, in, 5, GMC3Options{})
-	check("SolveGMC3Ctx", r2.Status, r2.Solution)
-	r3 := SolveECCCtx(ctx, in)
-	check("SolveECCCtx", r3.Status, r3.Solution)
+	r2 := mustRun(t, ctx, in, "gmc3", Params{Target: 5})
+	check("Run gmc3", r2.Status, r2.Solution)
+	r3 := mustRun(t, ctx, in, "ecc", Params{})
+	check("Run ecc", r3.Status, r3.Solution)
 	r4 := SolvePartialCtx(ctx, in, GainLinear)
 	check("SolvePartialCtx", r4.Status, r4.Solution)
 	r5 := SolveOverlapCtx(ctx, in, OverlapCostModel{})
@@ -68,11 +78,11 @@ func TestCtxEntryPointsCompleteWithBackground(t *testing.T) {
 	if r := SolveCtx(ctx, in, Options{}); r.Status != Complete || r.Err != nil {
 		t.Errorf("SolveCtx: status=%v err=%v", r.Status, r.Err)
 	}
-	if r := SolveGMC3Ctx(ctx, in, 5, GMC3Options{}); r.Status != Complete || r.Err != nil {
-		t.Errorf("SolveGMC3Ctx: status=%v err=%v", r.Status, r.Err)
+	if r := mustRun(t, ctx, in, "gmc3", Params{Target: 5}); r.Status != Complete || r.Err != nil {
+		t.Errorf("Run gmc3: status=%v err=%v", r.Status, r.Err)
 	}
-	if r := SolveECCCtx(ctx, in); r.Status != Complete || r.Err != nil {
-		t.Errorf("SolveECCCtx: status=%v err=%v", r.Status, r.Err)
+	if r := mustRun(t, ctx, in, "ecc", Params{}); r.Status != Complete || r.Err != nil {
+		t.Errorf("Run ecc: status=%v err=%v", r.Status, r.Err)
 	}
 	if r := SolvePartialCtx(ctx, in, GainLinear); r.Status != Complete || r.Err != nil {
 		t.Errorf("SolvePartialCtx: status=%v err=%v", r.Status, r.Err)
@@ -103,14 +113,14 @@ func TestExtensionSolversContainArmedPanics(t *testing.T) {
 	}
 
 	guard.Arm("gmc3.residual", guard.PanicFault("boom"))
-	r1 := SolveGMC3Ctx(ctx, in, 5, GMC3Options{})
+	r1 := mustRun(t, ctx, in, "gmc3", Params{Target: 5})
 	guard.DisarmAll()
-	check("SolveGMC3Ctx", r1.Status, r1.Err, r1.Solution)
+	check("Run gmc3", r1.Status, r1.Err, r1.Solution)
 
 	guard.Arm("ecc.solve", guard.PanicFault("boom"))
-	r2 := SolveECCCtx(ctx, in)
+	r2 := mustRun(t, ctx, in, "ecc", Params{})
 	guard.DisarmAll()
-	check("SolveECCCtx", r2.Status, r2.Err, r2.Solution)
+	check("Run ecc", r2.Status, r2.Err, r2.Solution)
 
 	guard.Arm("partial.solve", guard.PanicFault("boom"))
 	r3 := SolvePartialCtx(ctx, in, GainLinear)

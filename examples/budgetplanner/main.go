@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	bcc "repro"
@@ -38,17 +39,26 @@ func main() {
 	// Backward view: cheapest budget per utility target.
 	fmt.Println("\nutility target → cheapest budget (A^GMC3):")
 	for _, f := range []float64{0.25, 0.5, 0.75, 0.9} {
-		gm := bcc.SolveGMC3(base, total*f, bcc.GMC3Options{Seed: seed})
+		gm := run(base, "gmc3", bcc.Params{Seed: seed, Target: total * f})
 		status := "ok"
-		if !gm.Achieved {
+		if !*gm.Achieved {
 			status = "unreachable"
 		}
 		fmt.Printf("  %3.0f%%  cost %6.0f  (%s)\n", f*100, gm.Cost, status)
 	}
 
 	// Sweet spot: the most cost-effective classifier set of all.
-	ec := bcc.SolveECC(base)
+	ec := run(base, "ecc", bcc.Params{})
 	fmt.Printf("\nECC sweet spot: %d classifiers, utility %.0f at cost %.0f (ratio %.2f)\n",
-		ec.Solution.Size(), ec.Utility, ec.Cost, ec.Ratio)
+		ec.Solution.Size(), ec.Utility, ec.Cost, ec.Utility/ec.Cost)
 	fmt.Println("   → everything below this cost is 'cheap wins'; beyond it, returns diminish.")
+}
+
+// run runs the registered solver called name on the instance.
+func run(in *bcc.Instance, name string, p bcc.Params) bcc.Outcome {
+	out, err := bcc.Run(context.Background(), in, name, p)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

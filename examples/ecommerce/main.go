@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	bcc "repro"
@@ -29,15 +30,15 @@ func main() {
 	fmt.Printf("total utility if everything were covered: %.0f\n\n", in.TotalUtility())
 
 	fmt.Printf("quarterly budget %v:\n", quarterlyBudget)
-	type run struct {
+	type row struct {
 		name string
-		res  bcc.Result
+		res  bcc.Outcome
 	}
-	runs := []run{
-		{"RAND", bcc.SolveRand(in, seed)},
-		{"IG2 ", bcc.SolveIG2(in)},
-		{"IG1 ", bcc.SolveIG1(in)},
-		{"A^BCC", bcc.Solve(in, bcc.Options{Seed: seed})},
+	runs := []row{
+		{"RAND", run(in, "rand", bcc.Params{Seed: seed})},
+		{"IG2 ", run(in, "ig2", bcc.Params{})},
+		{"IG1 ", run(in, "ig1", bcc.Params{})},
+		{"A^BCC", run(in, "abcc", bcc.Params{Seed: seed})},
 	}
 	for _, r := range runs {
 		fmt.Printf("  %-6s utility %7.0f  (%.0f%% of total)  cost %6.0f  covered %d queries  [%v]\n",
@@ -63,7 +64,16 @@ func main() {
 	// Diminishing returns: budget needed for increasing utility fractions.
 	fmt.Println("\ndiminishing returns (cheapest budget per utility fraction):")
 	for _, f := range []float64{0.5, 0.65, 0.75} {
-		gm := bcc.SolveGMC3(in, in.TotalUtility()*f, bcc.GMC3Options{Seed: seed})
+		gm := run(in, "gmc3", bcc.Params{Seed: seed, Target: in.TotalUtility() * f})
 		fmt.Printf("  %2.0f%% of utility needs budget ≈ %6.0f\n", f*100, gm.Cost)
 	}
+}
+
+// run runs the registered solver called name on the instance.
+func run(in *bcc.Instance, name string, p bcc.Params) bcc.Outcome {
+	out, err := bcc.Run(context.Background(), in, name, p)
+	if err != nil {
+		panic(err)
+	}
+	return out
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -55,13 +56,19 @@ func main() {
 	// With a flexible budget, which classifier set gives the most utility
 	// per unit of labeling cost?
 	in, _ := b.Instance(0)
-	ecc := bcc.SolveECC(in)
+	ecc, err := bcc.Run(context.Background(), in, "ecc", bcc.Params{})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("\nbest bang-for-buck: ratio %.2f (utility %.0f / cost %.0f)\n",
-		ecc.Ratio, ecc.Utility, ecc.Cost)
+		ecc.Utility/ecc.Cost, ecc.Utility, ecc.Cost)
 
 	// And the cheapest way to reach at least 70%% of the total utility?
 	target := in.TotalUtility() * 0.7
-	gm := bcc.SolveGMC3(in, target, bcc.GMC3Options{})
+	gm, err := bcc.Run(context.Background(), in, "gmc3", bcc.Params{Target: target})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("cheapest ≥%.0f utility: cost %.0f (achieved=%v)\n",
-		target, gm.Cost, gm.Achieved)
+		target, gm.Cost, *gm.Achieved)
 }

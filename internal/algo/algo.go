@@ -45,8 +45,8 @@ type Outcome struct {
 	Cost     float64
 	// Covered is the number of covered queries.
 	Covered int
-	// Iterations is the family's own progress unit: residual rounds,
-	// greedy steps, generations.
+	// Iterations is the family's own progress unit: residual rounds or
+	// greedy steps.
 	Iterations int
 	Duration   time.Duration
 	// Status and Err report how the run ended (see guard.Status); every
@@ -76,7 +76,7 @@ type Descriptor struct {
 	// Summary is the one-line description shown in usage text.
 	Summary string
 	// Tier is the speed/quality tier shown in docs: "exact",
-	// "baseline", "fast-approx", "reference" or "anytime-meta".
+	// "baseline", "fast-approx" or "reference".
 	Tier string
 	// Anytime solvers honor context deadlines/cancellation and always
 	// return the best feasible incumbent found so far.

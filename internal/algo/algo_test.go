@@ -13,7 +13,7 @@ import (
 
 // builtins is the complete expected registry population; a new solver
 // family must be added here (and to the docs) when it registers itself.
-var builtins = []string{"abcc", "brute", "ecc", "evo", "gmc3", "ig1", "ig2", "rand", "submod"}
+var builtins = []string{"abcc", "brute", "ecc", "gmc3", "ig1", "ig2", "rand", "submod"}
 
 func TestBuiltinsRegistered(t *testing.T) {
 	names := Names()

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecc"
-	"repro/internal/evo"
 	"repro/internal/gmc3"
 	"repro/internal/model"
 	"repro/internal/submod"
@@ -148,25 +147,6 @@ func init() {
 				out.Ratio = &ratio
 			}
 			return out, nil
-		},
-	})
-	MustRegister(Descriptor{
-		Name:          "evo",
-		WarmStart:     true,
-		Summary:       "anytime evolutionary search (coverage-aware crossover, utility-per-cost mutation, elitism)",
-		Tier:          "anytime-meta",
-		Anytime:       true,
-		Deterministic: true,
-		Seeded:        true,
-		Servable:      true,
-		EvalFloor:     0.95,
-		Run: func(ctx context.Context, in *model.Instance, p Params) (Outcome, error) {
-			r := evo.SolveCtx(ctx, in, evo.Options{Seed: p.Seed, Warm: p.Warm})
-			return Outcome{
-				Solution: r.Solution, Utility: r.Utility, Cost: r.Cost,
-				Covered: r.Covered, Iterations: r.Generations,
-				Duration: r.Duration, Status: r.Status, Err: r.Err,
-			}, nil
 		},
 	})
 	MustRegister(Descriptor{

@@ -16,7 +16,7 @@ import (
 // that declare WarmStart; pin the set so adding a solver forces a
 // decision about its warm contract.
 func TestWarmStartRegistry(t *testing.T) {
-	want := map[string]bool{"abcc": true, "gmc3": true, "evo": true, "submod": true}
+	want := map[string]bool{"abcc": true, "gmc3": true, "submod": true}
 	for _, name := range Names() {
 		d, _ := Lookup(name)
 		if d.WarmStart != want[name] {

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"strconv"
@@ -164,25 +161,25 @@ func routeInstance(req *api.SolveRequest) (*model.Instance, *api.Error) {
 
 // handleSolve forwards the body it received and relays the backend's
 // answer, neither re-encoded. Both hops write api.SolveResponse through
-// identical writeJSON helpers, so the relayed bytes are the ones a
-// decode and re-encode here would produce.
+// the one api.WriteJSON, so the relayed bytes are the ones a decode and
+// re-encode here would produce.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	body, apiErr := readBody(w, r, g.cfg.MaxBodyBytes)
+	body, apiErr := api.ReadBody(w, r, g.cfg.MaxBodyBytes)
 	if apiErr != nil {
 		g.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	fp, apiErr := g.routeFingerprint(body)
 	if apiErr != nil {
 		g.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	answer, route, err := g.cl.SolveRouted(r.Context(), body, fp)
 	if err != nil {
-		writeError(w, routeError(err))
+		api.WriteError(w, routeError(err))
 		return
 	}
 	w.Header().Set(api.BackendHeader, route.BackendID)
@@ -204,7 +201,7 @@ func (g *Gateway) routeFingerprint(body []byte) (string, *api.Error) {
 		return fp.(string), nil
 	}
 	var req api.SolveRequest
-	if apiErr := decodeBody(body, &req); apiErr != nil {
+	if apiErr := api.DecodeBody(body, &req); apiErr != nil {
 		return "", apiErr
 	}
 	fp, apiErr := RouteFingerprint(&req)
@@ -217,19 +214,19 @@ func (g *Gateway) routeFingerprint(body []byte) (string, *api.Error) {
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch api.BatchRequest
-	if apiErr := decodeJSON(w, r, g.cfg.MaxBodyBytes, &batch); apiErr != nil {
+	if apiErr := api.DecodeJSON(w, r, g.cfg.MaxBodyBytes, &batch); apiErr != nil {
 		g.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	if len(batch.Requests) == 0 {
 		g.badRequests.Add(1)
-		writeError(w, api.Errorf(http.StatusBadRequest, "batch has no requests"))
+		api.WriteError(w, api.Errorf(http.StatusBadRequest, "batch has no requests"))
 		return
 	}
 	if len(batch.Requests) > g.cfg.MaxBatch {
 		g.badRequests.Add(1)
-		writeError(w, api.Errorf(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", len(batch.Requests), g.cfg.MaxBatch))
+		api.WriteError(w, api.Errorf(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", len(batch.Requests), g.cfg.MaxBatch))
 		return
 	}
 	g.requests.Add(uint64(len(batch.Requests)))
@@ -258,7 +255,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			items[routedIdx[k]] = item
 		}
 	}
-	writeJSON(w, http.StatusOK, api.BatchResponse{Responses: items})
+	api.WriteJSON(w, http.StatusOK, api.BatchResponse{Responses: items})
 }
 
 // handleHealthz answers 200 while the gateway is serving AND at least
@@ -266,15 +263,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 // solve is not healthy, whatever its own process state.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if g.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
 		return
 	}
 	eligible := g.cl.EligibleBackends()
 	if eligible == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no eligible backend", "backends": len(g.cl.Backends())})
+		api.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "no eligible backend", "backends": len(g.cl.Backends())})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "eligible_backends": eligible})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "eligible_backends": eligible})
 }
 
 // GatewayStatz is the GET /v1/statz body of a gateway: its own serving
@@ -290,7 +287,7 @@ type GatewayStatz struct {
 }
 
 func (g *Gateway) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, GatewayStatz{
+	api.WriteJSON(w, http.StatusOK, GatewayStatz{
 		UptimeSeconds: time.Since(g.start).Seconds(),
 		Build:         obs.ReadBuild(),
 		Draining:      g.draining.Load(),
@@ -311,17 +308,17 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &api.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
 				g.panics.Add(1)
-				sw.code = http.StatusInternalServerError
-				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError,
+				sw.Code = http.StatusInternalServerError
+				if !sw.Wrote {
+					api.WriteJSON(sw, http.StatusInternalServerError,
 						api.Errorf(http.StatusInternalServerError, "internal panic: %v", p))
 				}
 			}
-			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.code)}
+			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.Code)}
 			g.reg.Histogram("bcc_gate_http_request_seconds", "Gateway HTTP request latency by route and status.",
 				labels, obs.DefBuckets).Observe(time.Since(start).Seconds())
 			g.reg.Counter("bcc_gate_http_requests_total", "Gateway HTTP requests by route and status.", labels).Inc()
@@ -354,75 +351,4 @@ func routeError(err error) *api.Error {
 	default:
 		return api.Errorf(http.StatusBadGateway, "backend call failed: %v", err)
 	}
-}
-
-// statusWriter, decodeJSON, readBody, decodeBody, writeError and
-// writeJSON intentionally mirror internal/server's unexported helpers —
-// the packages must not import each other (server is a backend, cluster
-// fronts backends), and the HTTP contract of both must stay
-// byte-identical.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *api.Error {
-	body, apiErr := readBody(w, r, maxBytes)
-	if apiErr != nil {
-		return apiErr
-	}
-	return decodeBody(body, dst)
-}
-
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *api.Error) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxBytes {
-		// The spare MinRead keeps the final read, which finds EOF, from
-		// doubling a buffer the body filled exactly.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes)); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, api.Errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return nil, api.Errorf(http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeBody(body []byte, dst any) *api.Error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return api.Errorf(http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return nil
-}
-
-func writeError(w http.ResponseWriter, apiErr *api.Error) {
-	if apiErr.RetryAfterSeconds > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", apiErr.RetryAfterSeconds))
-	}
-	writeJSON(w, apiErr.Code, apiErr)
-}
-
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
 }

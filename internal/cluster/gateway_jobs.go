@@ -17,63 +17,63 @@ import (
 func (g *Gateway) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	var req api.JobRequest
-	if apiErr := decodeJSON(w, r, g.cfg.MaxBodyBytes, &req); apiErr != nil {
+	if apiErr := api.DecodeJSON(w, r, g.cfg.MaxBodyBytes, &req); apiErr != nil {
 		g.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	fp, apiErr := RouteFingerprint(&req.SolveRequest)
 	if apiErr != nil {
 		g.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	st, route, err := g.cl.SubmitJob(r.Context(), &req, fp)
 	if err != nil {
-		writeError(w, jobRouteError(err))
+		api.WriteError(w, jobRouteError(err))
 		return
 	}
 	w.Header().Set(api.BackendHeader, route.BackendID)
-	writeJSON(w, http.StatusAccepted, st)
+	api.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (g *Gateway) handleJobList(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	writeJSON(w, http.StatusOK, g.cl.ListJobs(r.Context()))
+	api.WriteJSON(w, http.StatusOK, g.cl.ListJobs(r.Context()))
 }
 
 func (g *Gateway) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	st, err := g.cl.JobStatus(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobRouteError(err))
+		api.WriteError(w, jobRouteError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 func (g *Gateway) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	result, st, err := g.cl.JobResult(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobRouteError(err))
+		api.WriteError(w, jobRouteError(err))
 		return
 	}
 	if result != nil {
-		writeJSON(w, http.StatusOK, result)
+		api.WriteJSON(w, http.StatusOK, result)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	api.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (g *Gateway) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	st, err := g.cl.CancelJob(r.Context(), r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobRouteError(err))
+		api.WriteError(w, jobRouteError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 // jobRouteError extends routeError with the job-specific conditions:

@@ -242,7 +242,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 		// Bottom rung of the ladder: almost no deadline budget left, so
 		// skip the knapsack/QK machinery entirely — the IG1 greedy still
 		// yields a sane, feasible plan.
-		iterations += ig1Fill(g, t)
+		iterations += IG1Fill(g, t)
 		return finish()
 	}
 
@@ -310,7 +310,7 @@ func startFloor(g *guard.Guard, rec *obs.Recorder, in *model.Instance, allowed [
 		defer g.Recover()
 		t0 := rec.Start()
 		t2 := cover.New(in)
-		ig1Fill(g, t2)
+		IG1Fill(g, t2)
 		kept := false
 		if !opts.DisableMC3 {
 			kept = !mc3Improve(g, rec, t2)
@@ -354,12 +354,12 @@ func improveLoop(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []
 			break
 		}
 	}
-	if ig1Fill(g, t) > 0 {
+	if IG1Fill(g, t) > 0 {
 		kept = false
 	}
 	if !opts.DisableMC3 && !g.Tripped() && !kept {
 		mc3Improve(g, rec, t)
-		ig1Fill(g, t)
+		IG1Fill(g, t)
 	}
 	return iterations
 }

@@ -13,30 +13,50 @@ import (
 
 // SolveRand is the RAND baseline: repeatedly select one uniformly random
 // classifier among those whose selection does not exceed the budget, until
-// none fits. (A classifier that has become unaffordable can never become
-// affordable again, so rejected candidates are discarded permanently.)
+// none fits.
 func SolveRand(in *model.Instance, seed int64) Result {
 	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
 	t := cover.New(in)
-	cls := in.Classifiers()
+	steps := RandLoop(t, seed, true, nil, nil)
+	return resultFrom(t, steps, 0, start)
+}
+
+// RandLoop is RAND's selection loop, shared by the budgeted RAND above,
+// GMC3's RAND(G) and ECC's RAND(E). It draws the instance's classifiers
+// without replacement, uniformly at random from a source seeded with
+// seed, and selects each one the tracker has not selected yet. stop,
+// budgeted and selected work as in IG1Loop; a selection is one
+// classifier. A classifier that does not fit a budgeted loop's
+// remaining budget is discarded: the budget only shrinks, so it can
+// never fit again. It returns the number of classifiers selected.
+func RandLoop(t *cover.Tracker, seed int64, budgeted bool, stop func() bool, selected func(sel []int32)) int {
+	rng := rand.New(rand.NewSource(seed))
+	cls := t.Instance().Classifiers()
 	pool := make([]int, len(cls))
 	for ci := range pool {
 		pool[ci] = ci
 	}
+	var one [1]int32
 	steps := 0
 	for len(pool) > 0 {
+		if stop != nil && stop() {
+			break
+		}
 		i := rng.Intn(len(pool))
 		ci := pool[i]
 		pool[i] = pool[len(pool)-1]
 		pool = pool[:len(pool)-1]
-		if t.HasIndex(ci) || cls[ci].Cost > t.Remaining()+1e-9 {
+		if t.HasIndex(ci) || budgeted && cls[ci].Cost > t.Remaining()+1e-9 {
 			continue
 		}
 		t.AddIndex(ci)
 		steps++
+		if selected != nil {
+			one[0] = int32(ci)
+			selected(one[:])
+		}
 	}
-	return resultFrom(t, steps, 0, start)
+	return steps
 }
 
 // SolveIG1 is the IG1 baseline: an iterative greedy that, in each round,
@@ -46,25 +66,17 @@ func SolveRand(in *model.Instance, seed int64) Result {
 func SolveIG1(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
-	steps := ig1Fill(nil, t)
+	steps := IG1Fill(nil, t)
 	return resultFrom(t, steps, 0, start)
 }
 
-// IG1Fill runs the IG1 greedy selection loop on an existing tracker —
-// which may already hold free, warm-started or previously selected
-// classifiers — until no further query cover fits the remaining budget,
-// stopping early when the guard trips (g may be nil). It returns the
-// number of covers selected. Exported for the evolutionary and
-// submodular solvers (internal/evo, internal/submod), which use it both
-// as a seeding heuristic and as their never-worse-than-IG1 anytime
-// floor.
-func IG1Fill(g *guard.Guard, t *cover.Tracker) int { return ig1Fill(g, t) }
-
-// ig1Fill runs the IG1 selection loop on an existing tracker until no
-// further query cover fits the remaining budget, returning the number of
-// covers selected. It is both the IG1 baseline and the leftover-budget
-// completion pass of A^BCC.
-func ig1Fill(g *guard.Guard, t *cover.Tracker) int {
+// IG1Fill runs the budgeted IG1 loop on an existing tracker — which may
+// already hold free, warm-started or previously selected classifiers —
+// until no further query cover fits the remaining budget, stopping early
+// when the guard trips (g may be nil). It returns the number of covers
+// selected. It is the IG1 baseline, the leftover-budget completion pass
+// of A^BCC, and the submodular solver's never-worse-than-IG1 floor.
+func IG1Fill(g *guard.Guard, t *cover.Tracker) int {
 	return IG1Loop(t, true, g.Check, nil)
 }
 
@@ -200,6 +212,22 @@ func unselectedFits(t *cover.Tracker) bool {
 func SolveIG2(in *model.Instance) Result {
 	start := time.Now()
 	t := cover.New(in)
+	steps := IG2Loop(t, true, nil, nil)
+	return resultFrom(t, steps, 0, start)
+}
+
+// IG2Loop is IG2's greedy selection loop, shared by the budgeted IG2
+// above, GMC3's IG2(G) and ECC's IG2(E). On an existing tracker it
+// repeatedly selects the unselected classifier with the best ratio of
+// the summed utilities of the uncovered queries containing it to its
+// cost. stop, budgeted and selected work as in IG1Loop; a selection is
+// one classifier. A classifier that does not fit a budgeted loop's
+// remaining budget is dropped for good. It returns the number of
+// classifiers selected. Scores live in a lazily revalidated max-heap: a
+// popped entry whose score has fallen is pushed back at its current
+// score.
+func IG2Loop(t *cover.Tracker, budgeted bool, stop func() bool, selected func(sel []int32)) int {
+	in := t.Instance()
 	classifiers := in.Classifiers()
 	// util[ci] = Σ utilities of uncovered queries containing classifier ci.
 	util := make([]float64, len(classifiers))
@@ -211,7 +239,9 @@ func SolveIG2(in *model.Instance) Result {
 		}
 	}
 	for qi, q := range in.Queries() {
-		credit(qi, q.Utility)
+		if !t.Covered(qi) {
+			credit(qi, q.Utility)
+		}
 	}
 	scoreOf := func(ci int) float64 {
 		c := classifiers[ci]
@@ -233,9 +263,12 @@ func SolveIG2(in *model.Instance) Result {
 	}
 	steps := 0
 	var before []bool
+	var one [1]int32
 	for h.Len() > 0 {
+		if stop != nil && stop() {
+			break
+		}
 		e := heap.Pop(h).(cEntry)
-		c := classifiers[e.ci]
 		if t.HasIndex(e.ci) {
 			continue
 		}
@@ -247,7 +280,7 @@ func SolveIG2(in *model.Instance) Result {
 			heap.Push(h, cEntry{e.ci, s})
 			continue
 		}
-		if c.Cost > t.Remaining()+1e-9 {
+		if budgeted && classifiers[e.ci].Cost > t.Remaining()+1e-9 {
 			continue // permanently unaffordable
 		}
 		// Select and update utilities of classifiers sharing newly covered
@@ -264,8 +297,12 @@ func SolveIG2(in *model.Instance) Result {
 				credit(qi, -in.Queries()[qi].Utility)
 			}
 		}
+		if selected != nil {
+			one[0] = int32(e.ci)
+			selected(one[:])
+		}
 	}
-	return resultFrom(t, steps, 0, start)
+	return steps
 }
 
 // qEntry is one entry of IG1's heap: a query and the score it was

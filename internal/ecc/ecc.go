@@ -18,10 +18,8 @@
 package ecc
 
 import (
-	"container/heap"
 	"context"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -352,31 +350,12 @@ func sortStrings(s []string) {
 
 // SolveRand is RAND(E): select random classifiers until every coverable
 // query is covered, returning the prefix with the best observed ratio.
+// It runs RAND's shared selection loop (core.RandLoop) without a budget.
 func SolveRand(in *model.Instance, seed int64) Result {
 	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
-	t := cover.New(in)
-	pool := make([]propset.Set, 0, len(in.Classifiers()))
-	for _, c := range in.Classifiers() {
-		pool = append(pool, c.Props)
-	}
-	var order []propset.Set
-	bestLen, bestRatio := 0, 0.0
-	for len(pool) > 0 {
-		i := rng.Intn(len(pool))
-		c := pool[i]
-		pool[i] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		if t.Has(c) {
-			continue
-		}
-		t.Add(c)
-		order = append(order, c)
-		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
-			bestRatio, bestLen = r, len(order)
-		}
-	}
-	return resultOf(in, order[:bestLen], start)
+	p := &bestPrefix{t: cover.New(in)}
+	core.RandLoop(p.t, seed, false, nil, p.selected)
+	return p.result(start)
 }
 
 // SolveIG1 is IG1(E): greedy per-query covers until everything coverable
@@ -384,105 +363,42 @@ func SolveRand(in *model.Instance, seed int64) Result {
 // selection loop (core.IG1Loop) without a budget.
 func SolveIG1(in *model.Instance) Result {
 	start := time.Now()
-	t := cover.New(in)
-	cls := in.Classifiers()
-	var order []propset.Set
-	bestLen, bestRatio := 0, 0.0
-	core.IG1Loop(t, false, nil, func(chosen []int32) {
-		for _, ci := range chosen {
-			order = append(order, cls[ci].Props)
-		}
-		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
-			bestRatio, bestLen = r, len(order)
-		}
-	})
-	return resultOf(in, order[:bestLen], start)
+	p := &bestPrefix{t: cover.New(in)}
+	core.IG1Loop(p.t, false, nil, p.selected)
+	return p.result(start)
 }
 
 // SolveIG2 is IG2(E): greedy single-classifier ratio selection until
-// everything coverable is covered; output the best-ratio prefix.
+// everything coverable is covered; output the best-ratio prefix. It runs
+// IG2's shared selection loop (core.IG2Loop) without a budget.
 func SolveIG2(in *model.Instance) Result {
 	start := time.Now()
-	t := cover.New(in)
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
-	classifiers := in.Classifiers()
-	scoreOf := func(ci int) float64 {
-		c := classifiers[ci]
-		u := util[c.Props.Key()]
-		if u <= 0 {
-			return 0
-		}
-		if c.Cost == 0 {
-			return math.Inf(1)
-		}
-		return u / c.Cost
-	}
-	h := &ratioHeap{}
-	heap.Init(h)
-	for ci := range classifiers {
-		if sc := scoreOf(ci); sc > 0 {
-			heap.Push(h, ratioEntry{ci, sc})
-		}
-	}
-	var order []propset.Set
-	bestLen, bestRatio := 0, 0.0
-	for h.Len() > 0 {
-		e := heap.Pop(h).(ratioEntry)
-		c := classifiers[e.i]
-		if t.Has(c.Props) {
-			continue
-		}
-		sc := scoreOf(e.i)
-		if sc == 0 {
-			continue
-		}
-		if e.score > sc+1e-12 {
-			heap.Push(h, ratioEntry{e.i, sc})
-			continue
-		}
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
-		}
-		t.Add(c.Props)
-		order = append(order, c.Props)
-		for i, qi := range rel {
-			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
-			}
-		}
-		if r := ratio(t.Utility(), t.Cost()); r > bestRatio {
-			bestRatio, bestLen = r, len(order)
-		}
-	}
-	return resultOf(in, order[:bestLen], start)
+	p := &bestPrefix{t: cover.New(in)}
+	core.IG2Loop(p.t, false, nil, p.selected)
+	return p.result(start)
 }
 
-type ratioEntry struct {
-	i     int
-	score float64
+// bestPrefix records a baseline's selections in order, and the length
+// and ratio of the best-ratio prefix that ends at a selection.
+type bestPrefix struct {
+	t     *cover.Tracker
+	order []propset.Set
+	n     int
+	ratio float64
 }
 
-type ratioHeap []ratioEntry
+// selected is the selection callback of the core loops: it appends the
+// selected classifiers to the order and scores the new prefix.
+func (p *bestPrefix) selected(sel []int32) {
+	cls := p.t.Instance().Classifiers()
+	for _, ci := range sel {
+		p.order = append(p.order, cls[ci].Props)
+	}
+	if r := ratio(p.t.Utility(), p.t.Cost()); r > p.ratio {
+		p.ratio, p.n = r, len(p.order)
+	}
+}
 
-func (h ratioHeap) Len() int            { return len(h) }
-func (h ratioHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h ratioHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ratioHeap) Push(x interface{}) { *h = append(*h, x.(ratioEntry)) }
-func (h *ratioHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (p *bestPrefix) result(start time.Time) Result {
+	return resultOf(p.t.Instance(), p.order[:p.n], start)
 }

@@ -274,9 +274,9 @@ func driftSweep(ctx context.Context, seed int64, base *model.Instance) []DriftPo
 }
 
 // paretoAlgos are the utility-vs-time comparison set: the A^BCC
-// reference against the greedy baselines and the two approximate
-// families added for fast serving tiers.
-var paretoAlgos = []string{"abcc", "ig1", "ig2", "submod", "evo"}
+// reference against the greedy baselines and the submodular greedy,
+// the fast approximate serving tier.
+var paretoAlgos = []string{"abcc", "ig1", "ig2", "submod"}
 
 // paretoSweep samples every pareto algorithm on each workload and
 // normalizes utility and speed against the workload's A^BCC run.

@@ -14,10 +14,8 @@
 package gmc3
 
 import (
-	"container/heap"
 	"context"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -317,27 +315,12 @@ func runResidualBCC(ctx context.Context, g *guard.Guard, in *model.Instance, t *
 }
 
 // SolveRand is RAND(G): select uniformly random classifiers until the
-// target utility is reached (or no candidates remain).
+// target utility is reached (or no candidates remain). It runs RAND's
+// shared selection loop (core.RandLoop) without a budget.
 func SolveRand(in *model.Instance, target float64, seed int64) Result {
 	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
 	t := cover.New(in)
-	pool := make([]propset.Set, 0, len(in.Classifiers()))
-	for _, c := range in.Classifiers() {
-		pool = append(pool, c.Props)
-	}
-	steps := 0
-	for len(pool) > 0 && t.Utility() < target-1e-9 {
-		i := rng.Intn(len(pool))
-		c := pool[i]
-		pool[i] = pool[len(pool)-1]
-		pool = pool[:len(pool)-1]
-		if t.Has(c) {
-			continue
-		}
-		t.Add(c)
-		steps++
-	}
+	steps := core.RandLoop(t, seed, false, reached(t, target), nil)
 	return resultFrom(t, target, steps, start)
 }
 
@@ -347,91 +330,23 @@ func SolveRand(in *model.Instance, target float64, seed int64) Result {
 func SolveIG1(in *model.Instance, target float64) Result {
 	start := time.Now()
 	t := cover.New(in)
-	steps := core.IG1Loop(t, false, func() bool { return t.Utility() >= target-1e-9 }, nil)
+	steps := core.IG1Loop(t, false, reached(t, target), nil)
 	return resultFrom(t, target, steps, start)
 }
 
 // SolveIG2 is IG2(G): repeatedly select the single classifier with the
 // best (uncovered-utility containing it) / cost ratio, until the target is
-// reached.
+// reached. It runs IG2's shared selection loop (core.IG2Loop) without a
+// budget.
 func SolveIG2(in *model.Instance, target float64) Result {
 	start := time.Now()
 	t := cover.New(in)
-	util := make(map[string]float64)
-	for _, q := range in.Queries() {
-		u := q.Utility
-		q.Props.Subsets(func(sub propset.Set) {
-			util[sub.Key()] += u
-		})
-	}
-	classifiers := in.Classifiers()
-	scoreOf := func(ci int) float64 {
-		c := classifiers[ci]
-		u := util[c.Props.Key()]
-		if u <= 0 {
-			return 0
-		}
-		if c.Cost == 0 {
-			return math.Inf(1)
-		}
-		return u / c.Cost
-	}
-	h := &scoreHeap{}
-	heap.Init(h)
-	for ci := range classifiers {
-		if s := scoreOf(ci); s > 0 {
-			heap.Push(h, scoreEntry{ci, s})
-		}
-	}
-	steps := 0
-	for h.Len() > 0 && t.Utility() < target-1e-9 {
-		e := heap.Pop(h).(scoreEntry)
-		c := classifiers[e.ci]
-		if t.Has(c.Props) {
-			continue
-		}
-		s := scoreOf(e.ci)
-		if s == 0 {
-			continue
-		}
-		if e.score > s+1e-12 {
-			heap.Push(h, scoreEntry{e.ci, s})
-			continue
-		}
-		rel := t.RelevantQueries(c.Props)
-		before := make([]bool, len(rel))
-		for i, qi := range rel {
-			before[i] = t.Covered(qi)
-		}
-		t.Add(c.Props)
-		steps++
-		for i, qi := range rel {
-			if t.Covered(qi) && !before[i] {
-				u := in.Queries()[qi].Utility
-				in.Queries()[qi].Props.Subsets(func(sub propset.Set) {
-					util[sub.Key()] -= u
-				})
-			}
-		}
-	}
+	steps := core.IG2Loop(t, false, reached(t, target), nil)
 	return resultFrom(t, target, steps, start)
 }
 
-type scoreEntry struct {
-	ci    int
-	score float64
-}
-
-type scoreHeap []scoreEntry
-
-func (h scoreHeap) Len() int            { return len(h) }
-func (h scoreHeap) Less(i, j int) bool  { return h[i].score > h[j].score }
-func (h scoreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *scoreHeap) Push(x interface{}) { *h = append(*h, x.(scoreEntry)) }
-func (h *scoreHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// reached is the baselines' stopping rule: the tracker's covered utility
+// has reached the target.
+func reached(t *cover.Tracker, target float64) func() bool {
+	return func() bool { return t.Utility() >= target-1e-9 }
 }

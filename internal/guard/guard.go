@@ -25,7 +25,6 @@
 //	dks.solve        every DkS portfolio call
 //	gmc3.residual    every residual A^BCC round inside A^GMC3
 //	ecc.solve        the A^ECC entry
-//	evo.generation   every generation of the evolutionary solver
 //	submod.pass      every lazy-greedy pass of the submodular solver
 //	submod.step      every lazy-queue pop of the submodular solver
 //	partial.solve    the partial-cover greedy entry

@@ -39,25 +39,21 @@ const (
 	// StageSubmodPass is one full lazy-greedy pass of the budgeted
 	// submodular solver (cost-scaled or unscaled).
 	StageSubmodPass
-	// StageEvoGeneration is one generation of the evolutionary solver
-	// (selection, crossover, mutation, elitist replacement).
-	StageEvoGeneration
 
 	numStages
 )
 
 var stageNames = [numStages]string{
-	StagePrune:         "prune",
-	StageKnapsack:      "knapsack",
-	StageQK:            "qk",
-	StageQKRestart:     "qk_restart",
-	StageMC3:           "mc3",
-	StageResidual:      "residual_round",
-	StageGreedyFloor:   "greedy_floor",
-	StageGMC3Residual:  "gmc3_residual",
-	StageECC:           "ecc_densest",
-	StageSubmodPass:    "submod_pass",
-	StageEvoGeneration: "evo_generation",
+	StagePrune:        "prune",
+	StageKnapsack:     "knapsack",
+	StageQK:           "qk",
+	StageQKRestart:    "qk_restart",
+	StageMC3:          "mc3",
+	StageResidual:     "residual_round",
+	StageGreedyFloor:  "greedy_floor",
+	StageGMC3Residual: "gmc3_residual",
+	StageECC:          "ecc_densest",
+	StageSubmodPass:   "submod_pass",
 }
 
 func (s Stage) String() string {

@@ -143,27 +143,27 @@ func (s *Server) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	if key := q.Get("key"); key != "" {
 		if v, ok := s.cache.Get(key); ok {
 			if resp, ok := v.(*SolveResponse); ok {
-				writeJSON(w, http.StatusOK, api.CacheEntryResponse{Key: key, Response: resp})
+				api.WriteJSON(w, http.StatusOK, api.CacheEntryResponse{Key: key, Response: resp})
 				return
 			}
 		}
-		writeError(w, errorf(http.StatusNotFound, "no cache entry for key %q", key))
+		api.WriteError(w, errorf(http.StatusNotFound, "no cache entry for key %q", key))
 		return
 	}
 	fp2, algoName := q.Get("fp2"), q.Get("algo")
 	if fp2 == "" || algoName == "" {
-		writeError(w, errorf(http.StatusBadRequest, "cache entry lookup needs ?key= or ?fp2=&algo="))
+		api.WriteError(w, errorf(http.StatusBadRequest, "cache entry lookup needs ?key= or ?fp2=&algo="))
 		return
 	}
 	key, v, ok := s.cache.Sibling(api.SiblingTag(fp2, algoName), "")
 	if !ok {
-		writeError(w, errorf(http.StatusNotFound, "no cache entry tagged %s", api.SiblingTag(fp2, algoName)))
+		api.WriteError(w, errorf(http.StatusNotFound, "no cache entry tagged %s", api.SiblingTag(fp2, algoName)))
 		return
 	}
 	resp, okResp := v.(*SolveResponse)
 	if !okResp {
-		writeError(w, errorf(http.StatusNotFound, "no cache entry tagged %s", api.SiblingTag(fp2, algoName)))
+		api.WriteError(w, errorf(http.StatusNotFound, "no cache entry tagged %s", api.SiblingTag(fp2, algoName)))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.CacheEntryResponse{Key: key, Sibling: true, Response: resp})
+	api.WriteJSON(w, http.StatusOK, api.CacheEntryResponse{Key: key, Sibling: true, Response: resp})
 }

@@ -117,13 +117,13 @@ var errJobsDisabled = errorf(http.StatusNotImplemented,
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
-		writeError(w, errJobsDisabled)
+		api.WriteError(w, errJobsDisabled)
 		return
 	}
 	var req api.JobRequest
-	if apiErr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
+	if apiErr := api.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	// Validate at submission so the caller learns about a bad request
@@ -131,20 +131,20 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	_, algo, fp, apiErr := s.prepareSolve(&req.SolveRequest)
 	if apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	st, err := s.jobs.Submit(&req, algo, fp)
 	if err != nil {
-		writeError(w, jobs.ErrHTTP(err))
+		api.WriteError(w, jobs.ErrHTTP(err))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
+	api.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	if s.jobs == nil {
-		writeError(w, errJobsDisabled)
+		api.WriteError(w, errJobsDisabled)
 		return
 	}
 	sts := s.jobs.List()
@@ -152,20 +152,20 @@ func (s *Server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	for i, st := range sts {
 		list.Jobs[i] = *st
 	}
-	writeJSON(w, http.StatusOK, list)
+	api.WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
-		writeError(w, errJobsDisabled)
+		api.WriteError(w, errJobsDisabled)
 		return
 	}
 	st, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobs.ErrHTTP(err))
+		api.WriteError(w, jobs.ErrHTTP(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleJobResult answers 200 with the SolveResponse once the job
@@ -175,16 +175,16 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 // switches on the status code alone, never sniffing body shapes.
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
-		writeError(w, errJobsDisabled)
+		api.WriteError(w, errJobsDisabled)
 		return
 	}
 	resp, st, err := s.jobs.Result(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobs.ErrHTTP(err))
+		api.WriteError(w, jobs.ErrHTTP(err))
 		return
 	}
 	if !api.JobTerminal(st.State) {
-		writeJSON(w, http.StatusAccepted, st)
+		api.WriteJSON(w, http.StatusAccepted, st)
 		return
 	}
 	if resp == nil {
@@ -192,21 +192,21 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		if reason == "" {
 			reason = st.State
 		}
-		writeError(w, errorf(http.StatusConflict, "job %s ended %s without a result: %s", st.ID, st.State, reason))
+		api.WriteError(w, errorf(http.StatusConflict, "job %s ended %s without a result: %s", st.ID, st.State, reason))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	if s.jobs == nil {
-		writeError(w, errJobsDisabled)
+		api.WriteError(w, errJobsDisabled)
 		return
 	}
 	st, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobs.ErrHTTP(err))
+		api.WriteError(w, jobs.ErrHTTP(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	api.WriteJSON(w, http.StatusOK, st)
 }

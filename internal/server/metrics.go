@@ -88,27 +88,6 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().Evictions) })
 }
 
-// statusWriter captures the status code a handler writes (and whether
-// anything was written at all) so the instrumentation can label the
-// request's series with it and the panic containment knows whether a
-// JSON 500 can still be sent.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.wrote = true
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(p []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(p)
-}
-
 // instrument wraps a handler with per-route/status latency and count
 // recording — a bcc_http_request_seconds{route,code} histogram and a
 // bcc_http_requests_total{route,code} counter — plus panic containment:
@@ -123,17 +102,17 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		// Every response names the process that produced it, so a caller
 		// behind bccgate can verify fingerprint affinity with curl -i.
 		w.Header().Set(api.BackendHeader, s.cfg.BackendID)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw := &api.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.Add(1)
-				sw.code = http.StatusInternalServerError
-				if !sw.wrote {
-					writeJSON(sw, http.StatusInternalServerError,
+				sw.Code = http.StatusInternalServerError
+				if !sw.Wrote {
+					api.WriteJSON(sw, http.StatusInternalServerError,
 						errorf(http.StatusInternalServerError, "internal panic: %v", p))
 				}
 			}
-			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.code)}
+			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.Code)}
 			s.reg.Histogram("bcc_http_request_seconds", "HTTP request latency by route and status.",
 				labels, obs.DefBuckets).Observe(time.Since(start).Seconds())
 			s.reg.Counter("bcc_http_requests_total", "HTTP requests by route and status.", labels).Inc()

@@ -76,13 +76,13 @@ var errPipelineDisabled = errorf(http.StatusNotImplemented,
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.pipe == nil {
-		writeError(w, errPipelineDisabled)
+		api.WriteError(w, errPipelineDisabled)
 		return
 	}
 	var req api.IngestRequest
-	if apiErr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
+	if apiErr := api.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &req); apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	accepted, err := s.pipe.Ingest(req.Lines)
@@ -91,20 +91,20 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &le):
 			s.badRequests.Add(1)
-			writeError(w, errorf(http.StatusBadRequest, "%v", le))
+			api.WriteError(w, errorf(http.StatusBadRequest, "%v", le))
 		case errors.Is(err, pipeline.ErrBacklog):
 			s.rejected.Add(1)
 			// Advise one window: that is the cadence at which backlog
 			// drains, so retrying sooner can only meet the same answer.
 			e := errorf(http.StatusTooManyRequests, "ingest backlog full, retry later")
 			e.RetryAfterSeconds = int(math.Ceil(s.pipe.Window().Seconds()))
-			writeError(w, e)
+			api.WriteError(w, e)
 		default:
-			writeError(w, errorf(http.StatusInternalServerError, "ingest failed: %v", err))
+			api.WriteError(w, errorf(http.StatusInternalServerError, "ingest failed: %v", err))
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, api.IngestResponse{
+	api.WriteJSON(w, http.StatusOK, api.IngestResponse{
 		Accepted:       accepted,
 		BacklogRecords: s.pipe.Stats().BacklogRecords,
 	})
@@ -112,16 +112,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlanCurrent(w http.ResponseWriter, r *http.Request) {
 	if s.pipe == nil {
-		writeError(w, errPipelineDisabled)
+		api.WriteError(w, errPipelineDisabled)
 		return
 	}
 	resp, err := s.pipe.CurrentPlan()
 	if err != nil {
 		if errors.Is(err, pipeline.ErrNoPlan) {
-			writeError(w, errorf(http.StatusNotFound, "no plan published yet"))
+			api.WriteError(w, errorf(http.StatusNotFound, "no plan published yet"))
 			return
 		}
-		writeError(w, errorf(http.StatusInternalServerError, "reading current plan: %v", err))
+		api.WriteError(w, errorf(http.StatusInternalServerError, "reading current plan: %v", err))
 		return
 	}
 	// Conditional GET: the ETag derives from the published plan's instance
@@ -134,7 +134,7 @@ func (s *Server) handlePlanCurrent(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // planETag is the strong validator for GET /v1/plan/current:

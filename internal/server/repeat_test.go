@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/guard"
 )
 
@@ -282,7 +283,7 @@ func FuzzSolveBody(f *testing.F) {
 				return
 			}
 			var req SolveRequest
-			if decodeBody(body, &req) != nil {
+			if api.DecodeBody(body, &req) != nil {
 				t.Fatalf("a body that answered 200 does not decode: %q", body)
 			}
 			if !req.NoCache && !r2.Cached {

@@ -31,7 +31,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	crand "crypto/rand"
 	"crypto/sha256"
@@ -627,10 +626,10 @@ func cacheKey(fp, algo string, req *SolveRequest) string {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, apiErr := readBody(w, r, s.cfg.MaxBodyBytes)
+	body, apiErr := api.ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	// SHA-256, not a faster non-cryptographic hash: a collision would
@@ -639,19 +638,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	digest := string(sum[:])
 	if k, ok := s.repeats.Get(digest); ok {
 		if resp := s.solveRepeat(k.(*repeatKey)); resp != nil {
-			writeJSON(w, http.StatusOK, resp)
+			api.WriteJSON(w, http.StatusOK, resp)
 			return
 		}
 	}
 	var req SolveRequest
-	if apiErr := decodeBody(body, &req); apiErr != nil {
+	if apiErr := api.DecodeBody(body, &req); apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	resp, apiErr := s.Solve(r.Context(), &req)
 	if apiErr != nil {
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	if !req.NoCache {
@@ -662,24 +661,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			seed: req.Seed, target: req.Target, includePlan: req.IncludePlan,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var batch BatchRequest
-	if apiErr := decodeJSON(w, r, s.cfg.MaxBodyBytes, &batch); apiErr != nil {
+	if apiErr := api.DecodeJSON(w, r, s.cfg.MaxBodyBytes, &batch); apiErr != nil {
 		s.badRequests.Add(1)
-		writeError(w, apiErr)
+		api.WriteError(w, apiErr)
 		return
 	}
 	if len(batch.Requests) == 0 {
 		s.badRequests.Add(1)
-		writeError(w, errorf(http.StatusBadRequest, "batch has no requests"))
+		api.WriteError(w, errorf(http.StatusBadRequest, "batch has no requests"))
 		return
 	}
 	if len(batch.Requests) > s.cfg.MaxBatch {
 		s.badRequests.Add(1)
-		writeError(w, errorf(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", len(batch.Requests), s.cfg.MaxBatch))
+		api.WriteError(w, errorf(http.StatusBadRequest, "batch of %d exceeds the %d-request cap", len(batch.Requests), s.cfg.MaxBatch))
 		return
 	}
 	// Items run concurrently; the pool bounds actual solver parallelism
@@ -711,7 +710,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchResponse{Responses: items})
+	api.WriteJSON(w, http.StatusOK, BatchResponse{Responses: items})
 }
 
 // handleHealthz is the load-balancer probe: 200 while serving, 503 once
@@ -719,10 +718,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // requests finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		api.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // SnapshotStats is the /v1/statz view of the crash-safe cache
@@ -907,61 +906,5 @@ func (s *Server) RestoreSnapshot(path string) (n int, err error) {
 }
 
 func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.snapshot())
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *Error {
-	body, apiErr := readBody(w, r, maxBytes)
-	if apiErr != nil {
-		return apiErr
-	}
-	return decodeBody(body, dst)
-}
-
-// readBody reads a request body whole, capped at maxBytes: 413 past the
-// cap, 400 when the read itself fails.
-func readBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *Error) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= maxBytes {
-		// The spare MinRead keeps the final read, which finds EOF, from
-		// doubling a buffer the body filled exactly.
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes)); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return nil, errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return nil, errorf(http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeBody decodes one JSON value from body into dst, refusing
-// unknown fields.
-func decodeBody(body []byte, dst any) *Error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return errorf(http.StatusBadRequest, "decoding request: %v", err)
-	}
-	return nil
-}
-
-// writeError renders an API error, mirroring any retry advice into the
-// standard Retry-After header (delay-seconds form) so plain HTTP
-// clients and proxies see it without parsing the JSON body.
-func writeError(w http.ResponseWriter, apiErr *Error) {
-	if apiErr.RetryAfterSeconds > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", apiErr.RetryAfterSeconds))
-	}
-	writeJSON(w, apiErr.Code, apiErr)
-}
-
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	api.WriteJSON(w, http.StatusOK, s.snapshot())
 }
