@@ -59,8 +59,9 @@ soak-smoke:
 ## MC3 greedy against its string-keyed oracle (FuzzMC3), the QK restart
 ## kernels against their dense oracles (FuzzQK), the exact knapsack DP
 ## against its fresh-table oracle (FuzzKnapsack), the query-log parser
-## (FuzzParse), and /v1/solve answering any body the same way twice
-## (FuzzSolveBody).
+## (FuzzParse), /v1/solve answering any body the same way twice
+## (FuzzSolveBody), and the /v1/solve schema decoder against
+## encoding/json (FuzzDecodeSolveRequest).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKnapsack -fuzztime 10s ./internal/knapsack/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
 	$(GO) test -run '^$$' -fuzz FuzzSolveBody -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 10s ./internal/api/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
 ## detector — a bccgate gateway over two in-process backends, checking

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 )
 
 // The HTTP codec of both hops: internal/server answers with it and
@@ -64,13 +65,31 @@ func ReadBody(w http.ResponseWriter, r *http.Request, maxBytes int64) ([]byte, *
 	return buf.Bytes(), nil
 }
 
-// DecodeBody decodes one JSON value from body into dst, refusing
-// unknown fields.
+// DecodeBody decodes the JSON value body holds into dst, refusing
+// unknown fields and anything but whitespace after the value. A zero
+// *SolveRequest goes through the schema decoder (decode.go) first, and
+// through encoding/json only when the body is outside what that
+// handles; either way it decodes the same.
 func DecodeBody(body []byte, dst any) *Error {
+	if req, ok := dst.(*SolveRequest); ok && reflect.ValueOf(req).Elem().IsZero() {
+		var fast SolveRequest
+		if decodeSolveRequest(body, &fast) {
+			*req = fast
+			return nil
+		}
+	}
+	return decodeJSON(body, dst)
+}
+
+// decodeJSON is DecodeBody through encoding/json.
+func decodeJSON(body []byte, dst any) *Error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return Errorf(http.StatusBadRequest, "decoding request: %v", err)
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return Errorf(http.StatusBadRequest, "decoding request: invalid character %q after top-level value", rest[0])
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -60,6 +59,10 @@ type Gateway struct {
 	// routing fingerprint, so a byte-identical repeat is routed without
 	// being decoded or built into an instance.
 	routes *solvecache.Cache
+
+	// http instruments every route like the backend server's, under
+	// bcc_gate_* names.
+	http api.Instrumentation
 }
 
 // routeMemoEntries bounds the gateway's route memo. An entry holds a
@@ -72,6 +75,12 @@ const routeMemoEntries = 4096
 func NewGateway(c *Cluster, cfg GatewayConfig) *Gateway {
 	g := &Gateway{cl: c, cfg: cfg.withDefaults(), reg: c.Registry(), start: time.Now(),
 		routes: solvecache.New(routeMemoEntries, 0)}
+	g.http = api.Instrumentation{
+		Registry: g.reg,
+		Latency:  "bcc_gate_http_request_seconds", LatencyHelp: "Gateway HTTP request latency by route and status.",
+		Requests: "bcc_gate_http_requests_total", RequestsHelp: "Gateway HTTP requests by route and status.",
+		Panics: &g.panics,
+	}
 	g.reg.GaugeFunc("bcc_gate_uptime_seconds", "Seconds since the gateway started.", nil,
 		func() float64 { return time.Since(g.start).Seconds() })
 	g.reg.CounterFunc("bcc_gate_requests_total", "Requests accepted by the gateway (batch items count).", nil,
@@ -105,16 +114,16 @@ func (g *Gateway) Draining() bool { return g.draining.Load() }
 // backend server's.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", g.instrument("/v1/solve", g.handleSolve))
-	mux.HandleFunc("POST /v1/solve/batch", g.instrument("/v1/solve/batch", g.handleBatch))
-	mux.HandleFunc("POST /v1/jobs", g.instrument("/v1/jobs", g.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs", g.instrument("/v1/jobs", g.handleJobList))
-	mux.HandleFunc("GET /v1/jobs/{id}", g.instrument("/v1/jobs/{id}", g.handleJobGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", g.instrument("/v1/jobs/{id}/result", g.handleJobResult))
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", g.instrument("/v1/jobs/{id}/cancel", g.handleJobCancel))
-	mux.HandleFunc("GET /v1/healthz", g.instrument("/v1/healthz", g.handleHealthz))
-	mux.HandleFunc("GET /v1/statz", g.instrument("/v1/statz", g.handleStatz))
-	mux.HandleFunc("GET /metrics", g.instrument("/metrics", g.handleMetrics))
+	mux.HandleFunc("POST /v1/solve", g.http.Instrument("/v1/solve", g.handleSolve))
+	mux.HandleFunc("POST /v1/solve/batch", g.http.Instrument("/v1/solve/batch", g.handleBatch))
+	mux.HandleFunc("POST /v1/jobs", g.http.Instrument("/v1/jobs", g.handleJobSubmit))
+	mux.HandleFunc("GET /v1/jobs", g.http.Instrument("/v1/jobs", g.handleJobList))
+	mux.HandleFunc("GET /v1/jobs/{id}", g.http.Instrument("/v1/jobs/{id}", g.handleJobGet))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", g.http.Instrument("/v1/jobs/{id}/result", g.handleJobResult))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", g.http.Instrument("/v1/jobs/{id}/cancel", g.handleJobCancel))
+	mux.HandleFunc("GET /v1/healthz", g.http.Instrument("/v1/healthz", g.handleHealthz))
+	mux.HandleFunc("GET /v1/statz", g.http.Instrument("/v1/statz", g.handleStatz))
+	mux.HandleFunc("GET /metrics", g.http.Instrument("/metrics", g.handleMetrics))
 	return mux
 }
 
@@ -301,30 +310,6 @@ func (g *Gateway) handleStatz(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = g.reg.WritePrometheus(w)
-}
-
-// instrument mirrors the backend server's middleware: per-route/status
-// latency and count series plus panic containment into a JSON 500.
-func (g *Gateway) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &api.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				g.panics.Add(1)
-				sw.Code = http.StatusInternalServerError
-				if !sw.Wrote {
-					api.WriteJSON(sw, http.StatusInternalServerError,
-						api.Errorf(http.StatusInternalServerError, "internal panic: %v", p))
-				}
-			}
-			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.Code)}
-			g.reg.Histogram("bcc_gate_http_request_seconds", "Gateway HTTP request latency by route and status.",
-				labels, obs.DefBuckets).Observe(time.Since(start).Seconds())
-			g.reg.Counter("bcc_gate_http_requests_total", "Gateway HTTP requests by route and status.", labels).Inc()
-		}()
-		h(sw, r)
-	}
 }
 
 // routeError folds a routing failure into the API error shape. A

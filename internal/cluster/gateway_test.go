@@ -293,3 +293,55 @@ func TestGatewayInvalidBodyNeverReachesBackend(t *testing.T) {
 		t.Fatalf("gateway bad requests = %d, want %d", got, sends)
 	}
 }
+
+// Bytes after the request's JSON value are a 400 at the edge: the
+// gateway no longer routes the first value and drops the rest.
+func TestGatewayTrailingBytes400(t *testing.T) {
+	srv, ts := newRealBackend(t, "tail")
+	_, gts := newGateway(t, []string{ts.URL}, GatewayConfig{})
+	value, err := json.Marshal(api.SolveRequest{Instance: loadgen.SyntheticWorkload(1, 26)[0].Instance, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, raw := postBody(t, gts.URL, append(value, []byte(`{"algo":"gmc3"} trailing garbage`)...))
+	var e api.Error
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil ||
+		!strings.HasPrefix(e.Msg, "decoding request: ") {
+		t.Fatalf("HTTP %d %s, want 400 decoding request", resp.StatusCode, raw)
+	}
+	if st := srv.Statz(); st.Requests != 0 {
+		t.Fatalf("backend saw %d requests", st.Requests)
+	}
+}
+
+// A panicking gateway handler answers a JSON 500 and counts in both the
+// panic counter and the 500 series of the request counter.
+func TestGatewayHandlerPanicIsJSON500(t *testing.T) {
+	_, ts := newRealBackend(t, "panic")
+	gw, gts := newGateway(t, []string{ts.URL}, GatewayConfig{})
+	rec := httptest.NewRecorder()
+	gw.http.Instrument("/boom", func(http.ResponseWriter, *http.Request) { panic("boom") })(
+		rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
+	var e api.Error
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &e) != nil ||
+		e.Msg != "internal panic: boom" {
+		t.Fatalf("HTTP %d %s, want a JSON 500 naming the panic", rec.Code, rec.Body.Bytes())
+	}
+	resp, err := http.Get(gts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"bcc_gate_panics_recovered_total 1\n",
+		`bcc_gate_http_requests_total{code="500",route="/boom"} 1` + "\n",
+	} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+}

@@ -43,7 +43,7 @@ func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, fp string, pri
 		return nil, false
 	}
 	var req api.SolveRequest
-	if json.Unmarshal(body, &req) != nil || len(req.WarmPlan) > 0 || req.NoCache {
+	if api.DecodeBody(body, &req) != nil || len(req.WarmPlan) > 0 || req.NoCache {
 		return nil, false
 	}
 	algoName := req.Algo

@@ -2,10 +2,12 @@ package dataset
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,46 +107,55 @@ func Read(r io.Reader) (*model.Instance, error) {
 // the file are both rejected: each is almost certainly a generator bug,
 // and silently deduplicating (or silently merging utilities) would let it
 // pass unnoticed.
+//
+// Property names are interned in file order, queries first, so IDs do
+// not depend on anything but the file. Validation runs on the interned
+// IDs as the builder takes each row; only when a row fails does
+// formatError work out which rejection to report. ff is only read.
 func FromFormat(ff FileFormat) (*model.Instance, error) {
-	seenQueries := make(map[string]int, len(ff.Queries))
-	for i, q := range ff.Queries {
-		if math.IsNaN(q.Utility) || math.IsInf(q.Utility, 0) {
-			return nil, fmt.Errorf("dataset: query %d (%v): utility %v is not finite", i, q.Props, q.Utility)
+	b := model.NewBuilderSize(len(ff.Queries), len(ff.Costs))
+	u := b.Universe()
+	var set propset.Set // scratch: AddQuerySet and SetCostSet keep no reference
+	intern := func(names []string) propset.Set {
+		set = set[:0]
+		for _, name := range names {
+			set = append(set, u.Intern(name))
 		}
-		props := append([]string(nil), q.Props...)
-		sort.Strings(props)
-		for j := 1; j < len(props); j++ {
-			if props[j] == props[j-1] {
-				return nil, fmt.Errorf("dataset: query %d (%v): duplicate property %q", i, q.Props, props[j])
+		slices.Sort(set)
+		return set
+	}
+	rows, empty := 0, 0
+	for _, q := range ff.Queries {
+		if math.IsNaN(q.Utility) || math.IsInf(q.Utility, 0) {
+			return nil, formatError(ff)
+		}
+		s := intern(q.Props)
+		for j := 1; j < len(s); j++ {
+			if s[j] == s[j-1] {
+				return nil, formatError(ff)
 			}
 		}
-		key := strings.Join(props, "\x00")
-		if first, dup := seenQueries[key]; dup {
-			return nil, fmt.Errorf("dataset: query %d (%v): duplicate of query %d", i, q.Props, first)
-		}
-		seenQueries[key] = i
-	}
-	for i, c := range ff.Costs {
-		if c.Inf {
+		if len(s) == 0 {
+			empty++
 			continue
 		}
-		if math.IsNaN(c.Cost) {
-			return nil, fmt.Errorf("dataset: cost %d (%v): cost is NaN", i, c.Props)
-		}
-		if c.Cost < 0 {
-			return nil, fmt.Errorf("dataset: cost %d (%v): cost %v is negative", i, c.Props, c.Cost)
-		}
+		rows++
+		b.AddQuerySet(s, q.Utility)
 	}
-	b := model.NewBuilder()
-	for _, q := range ff.Queries {
-		b.AddQuery(q.Utility, q.Props...)
+	if empty > 1 || b.NumQueries() != rows {
+		return nil, formatError(ff) // a query repeats an earlier one
+	}
+	for _, c := range ff.Costs {
+		if !c.Inf && (math.IsNaN(c.Cost) || c.Cost < 0) {
+			return nil, formatError(ff)
+		}
 	}
 	for _, c := range ff.Costs {
 		cost := c.Cost
 		if c.Inf {
 			cost = math.Inf(1)
 		}
-		b.SetCost(cost, c.Props...)
+		b.SetCostSet(slices.Compact(intern(c.Props)), cost)
 	}
 	if d := ff.Default; d != nil {
 		b.SetDefaultCost(func(s propset.Set) float64 {
@@ -152,6 +163,44 @@ func FromFormat(ff FileFormat) (*model.Instance, error) {
 		})
 	}
 	return b.Instance(ff.Budget)
+}
+
+// formatError returns the first of FromFormat's own rejections in file
+// order: per query a non-finite utility, a repeated property or a
+// repeat of an earlier query, then per cost row a NaN or negative cost.
+// It compares names, not IDs, so it is FromFormat's error path only.
+func formatError(ff FileFormat) error {
+	seenQueries := make(map[string]int, len(ff.Queries))
+	for i, q := range ff.Queries {
+		if math.IsNaN(q.Utility) || math.IsInf(q.Utility, 0) {
+			return fmt.Errorf("dataset: query %d (%v): utility %v is not finite", i, q.Props, q.Utility)
+		}
+		props := append([]string(nil), q.Props...)
+		sort.Strings(props)
+		var key strings.Builder
+		for j, p := range props {
+			if j > 0 && p == props[j-1] {
+				return fmt.Errorf("dataset: query %d (%v): duplicate property %q", i, q.Props, p)
+			}
+			fmt.Fprintf(&key, "%d:%s", len(p), p)
+		}
+		if first, dup := seenQueries[key.String()]; dup {
+			return fmt.Errorf("dataset: query %d (%v): duplicate of query %d", i, q.Props, first)
+		}
+		seenQueries[key.String()] = i
+	}
+	for i, c := range ff.Costs {
+		if c.Inf {
+			continue
+		}
+		if math.IsNaN(c.Cost) {
+			return fmt.Errorf("dataset: cost %d (%v): cost is NaN", i, c.Props)
+		}
+		if c.Cost < 0 {
+			return fmt.Errorf("dataset: cost %d (%v): cost %v is negative", i, c.Props, c.Cost)
+		}
+	}
+	return errors.New("dataset: instance rejected") // unreachable: FromFormat saw a rejection
 }
 
 // ReadFile loads an instance from a JSON file.

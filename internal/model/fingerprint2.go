@@ -1,14 +1,6 @@
 package model
 
-import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"sort"
-
-	"repro/internal/propset"
-)
+import "repro/internal/propset"
 
 // fingerprint2Version tags the canonical encoding hashed by Fingerprint2.
 // Bump it whenever the encoding changes so old sibling-index entries
@@ -30,47 +22,14 @@ const fingerprint2Version = "bccfp2/1"
 // length-prefixed, lexicographically sorted property names, and the rows
 // are sorted before hashing, so interning order and insertion order are
 // invisible. Duplicate conjunctions cannot occur (the builder merges
-// them into one query), so the row multiset is a set.
+// them into one query), so the row multiset is a set. The hashed stream
+// is the version tag, then the "Q" section of Fingerprint without its
+// values.
 func (in *Instance) Fingerprint2() string {
-	h := sha256.New()
-	var word [8]byte
-	writeUint := func(v uint64) {
-		binary.BigEndian.PutUint64(word[:], v)
-		h.Write(word[:])
-	}
-	writeStr := func(s string) {
-		writeUint(uint64(len(s)))
-		h.Write([]byte(s))
-	}
-
-	canon := func(s propset.Set) string {
-		names := make([]string, s.Len())
-		for i, id := range s {
-			names[i] = in.universe.Name(id)
-		}
-		sort.Strings(names)
-		var buf bytes.Buffer
-		var n [8]byte
-		for _, name := range names {
-			binary.BigEndian.PutUint64(n[:], uint64(len(name)))
-			buf.Write(n[:])
-			buf.WriteString(name)
-		}
-		return buf.String()
-	}
-
-	writeStr(fingerprint2Version)
-
-	rows := make([]string, len(in.queries))
-	for i, q := range in.queries {
-		rows[i] = canon(q.Props)
-	}
-	sort.Strings(rows)
-	writeStr("Q")
-	writeUint(uint64(len(rows)))
-	for _, r := range rows {
-		writeStr(r)
-	}
-
-	return hex.EncodeToString(h.Sum(nil))
+	c := in.canon()
+	w := newHashWriter()
+	w.str(fingerprint2Version)
+	q := c.rows(len(in.queries), func(i int) propset.Set { return in.queries[i].Props })
+	w.rows(c, "Q", q, nil)
+	return w.sum()
 }

@@ -1,8 +1,12 @@
 package model
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/propset"
 )
 
 // quickstartInstance is the README's running example, built with the
@@ -128,5 +132,88 @@ func TestFingerprintWithBudgetIsolated(t *testing.T) {
 	}
 	if in.Fingerprint() != fp9 {
 		t.Error("fingerprinting the budget copy mutated the original")
+	}
+}
+
+// trickyName draws a property name from pieces that make canonical
+// order hard: names sharing prefixes, differing only in length, sorting
+// differently by bytes and by length, and multibyte UTF-8.
+func trickyName(rng *rand.Rand) string {
+	pieces := []string{"a", "b", "ab", "é", "e", "日本", "語", "Z", "zz", "ä"}
+	var sb strings.Builder
+	for n := rng.Intn(4); n >= 0; n-- {
+		sb.WriteString(pieces[rng.Intn(len(pieces))])
+	}
+	return sb.String()
+}
+
+// randomTrickyBuilder fills a builder with up to 40 queries of length
+// 1–6 over tricky names, explicit zero, +Inf and positive costs, and
+// either uniform or length-priced default costs. With shared set, the
+// universe already holds names no query uses.
+func randomTrickyBuilder(rng *rand.Rand, shared bool) *Builder {
+	b := NewBuilder()
+	if shared {
+		u := propset.NewUniverse()
+		for i := rng.Intn(20); i > 0; i-- {
+			u.Intern(trickyName(rng))
+		}
+		b = NewBuilderWithUniverse(u)
+	}
+	pool := make([]string, 1+rng.Intn(24))
+	for i := range pool {
+		pool[i] = trickyName(rng)
+	}
+	var queries [][]string
+	for n := 1 + rng.Intn(40); n > 0; n-- {
+		props := make([]string, 1+rng.Intn(6))
+		for i := range props {
+			props[i] = pool[rng.Intn(len(pool))]
+		}
+		queries = append(queries, props)
+		b.AddQuery(float64(rng.Intn(50)), props...)
+	}
+	for n := rng.Intn(30); n > 0; n-- {
+		q := queries[rng.Intn(len(queries))]
+		var sub []string
+		for _, p := range q {
+			if rng.Intn(2) == 0 {
+				sub = append(sub, p)
+			}
+		}
+		if len(sub) == 0 {
+			continue
+		}
+		cost := float64(rng.Intn(20)) / 4
+		switch rng.Intn(6) {
+		case 0:
+			cost = 0
+		case 1:
+			cost = math.Inf(1)
+		}
+		b.SetCost(cost, sub...)
+	}
+	if rng.Intn(2) == 0 {
+		b.SetDefaultCost(func(s propset.Set) float64 { return 0.5 + float64(s.Len()) })
+	}
+	return b
+}
+
+// The rank-sorted fingerprints hash exactly the bytes the string-sorted
+// reference implementations hash.
+func TestFingerprintsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 400; trial++ {
+		b := randomTrickyBuilder(rng, trial%3 == 0)
+		in, err := b.Instance(float64(rng.Intn(40)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := in.Fingerprint(), referenceFingerprint(in); got != want {
+			t.Fatalf("trial %d: Fingerprint = %s, reference %s", trial, got, want)
+		}
+		if got, want := in.Fingerprint2(), referenceFingerprint2(in); got != want {
+			t.Fatalf("trial %d: Fingerprint2 = %s, reference %s", trial, got, want)
+		}
 	}
 }

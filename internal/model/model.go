@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/propset"
@@ -139,10 +140,13 @@ func (in *Instance) WithBudget(b float64) *Instance {
 // immutable Instance.
 type Builder struct {
 	universe  *propset.Universe
-	utilities map[string]float64
-	order     []propset.Set // query insertion order, deduplicated
+	index     map[string]int // query key -> index into order and utilities
+	order     []propset.Set  // query insertion order, deduplicated
+	utilities []float64
 	costs     map[string]float64
 	defCost   func(propset.Set) float64
+	key       []byte       // scratch for index lookups
+	sets      []propset.ID // backs the sets in order
 }
 
 // NewBuilder returns a Builder with a fresh property universe.
@@ -150,18 +154,34 @@ func NewBuilder() *Builder {
 	return NewBuilderWithUniverse(propset.NewUniverse())
 }
 
+// NewBuilderSize is NewBuilder with room reserved for the given numbers
+// of distinct queries and explicit prices, for callers that know them.
+func NewBuilderSize(queries, costs int) *Builder {
+	return &Builder{
+		universe:  propset.NewUniverse(),
+		index:     make(map[string]int, queries),
+		order:     make([]propset.Set, 0, queries),
+		utilities: make([]float64, 0, queries),
+		costs:     make(map[string]float64, costs),
+	}
+}
+
 // NewBuilderWithUniverse returns a Builder interning into an existing
 // universe, allowing several instances to share property IDs.
 func NewBuilderWithUniverse(u *propset.Universe) *Builder {
 	return &Builder{
-		universe:  u,
-		utilities: make(map[string]float64),
-		costs:     make(map[string]float64),
+		universe: u,
+		index:    make(map[string]int),
+		costs:    make(map[string]float64),
 	}
 }
 
 // Universe exposes the builder's property universe.
 func (b *Builder) Universe() *propset.Universe { return b.universe }
+
+// NumQueries reports how many distinct non-empty queries were added so
+// far.
+func (b *Builder) NumQueries() int { return len(b.order) }
 
 // AddQuery records a query given by property names. Adding the same
 // property set twice accumulates utility (two workload entries for the same
@@ -175,11 +195,15 @@ func (b *Builder) AddQuerySet(s propset.Set, utility float64) *Builder {
 	if s.Empty() {
 		return b
 	}
-	k := s.Key()
-	if _, seen := b.utilities[k]; !seen {
-		b.order = append(b.order, s.Clone())
+	b.key = s.AppendKey(b.key[:0])
+	i, seen := b.index[string(b.key)]
+	if !seen {
+		i = len(b.order)
+		b.index[string(b.key)] = i
+		b.order = append(b.order, carve(&b.sets, s))
+		b.utilities = append(b.utilities, 0)
 	}
-	b.utilities[k] += utility
+	b.utilities[i] += utility
 	return b
 }
 
@@ -219,8 +243,8 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 		defaultCost: b.defCost,
 	}
 	in.queries = make([]Query, 0, len(b.order))
-	for _, s := range b.order {
-		u := b.utilities[s.Key()]
+	for i, s := range b.order {
+		u := b.utilities[i]
 		if u < 0 || math.IsNaN(u) {
 			return nil, fmt.Errorf("model: invalid utility %v for query %v", u, s)
 		}
@@ -229,28 +253,57 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 			in.maxLen = s.Len()
 		}
 	}
+	if in.maxLen > 30 {
+		panic(fmt.Sprintf("propset: refusing to enumerate 2^%d subsets", in.maxLen))
+	}
 	// Enumerate CL = ∪_q 2^q \ ∅, dropping infinite-cost classifiers,
-	// and fill each query's subset table with enumeration positions
-	// (Subsets visits the masks in ascending order).
+	// and fill each query's subset table with enumeration positions,
+	// visiting each query's masks in ascending order. A subset is built
+	// in scratch and looked up by its key bytes, which allocates
+	// nothing; only a subset seen for the first time gets a key string
+	// and, when it joins CL, a Set of its own.
 	total := 0
 	for _, q := range in.queries {
-		if q.Props.Len() <= 30 { // longer ones make Subsets panic below
-			total += 1<<q.Props.Len() - 1
-		}
+		total += 1<<q.Props.Len() - 1
 	}
 	in.subsets = make([]int32, 0, total)
 	in.subsetOff = make([]int, 1, len(in.queries)+1)
-	pos := make(map[string]int) // key -> enumeration position, -1 when +Inf
+	// pos maps key -> enumeration position, -1 when +Inf; keys[p] is
+	// position p's key. CL has at least one set per query, and an
+	// explicit price usually names a member, which sizes them.
+	hint := min(total, len(in.queries)+len(b.costs))
+	pos := make(map[string]int32, hint)
+	var (
+		enum  = make([]Classifier, 0, hint)
+		keys  = make([]string, 0, hint)
+		key   []byte
+		sub   = make(propset.Set, 0, in.maxLen)
+		arena []propset.ID // backs the Sets of new classifiers
+	)
+	newSet := func(q propset.Set, m uint32) propset.Set {
+		if m == 1<<len(q)-1 {
+			return q // the query itself: sets are immutable, so share it
+		}
+		return carve(&arena, sub)
+	}
 	for _, q := range in.queries {
-		q.Props.Subsets(func(sub propset.Set) {
-			k := sub.Key()
-			p, ok := pos[k]
+		for m := uint32(1); m < 1<<len(q.Props); m++ {
+			sub = sub[:0]
+			for i, id := range q.Props {
+				if m>>i&1 == 1 {
+					sub = append(sub, id)
+				}
+			}
+			key = sub.AppendKey(key[:0])
+			p, ok := pos[string(key)]
 			if !ok {
 				p = -1
-				cost, priced := b.costs[k]
+				var set propset.Set
+				cost, priced := b.costs[string(key)]
 				if !priced {
 					if b.defCost != nil {
-						cost = b.defCost(sub)
+						set = newSet(q.Props, m)
+						cost = b.defCost(set)
 					} else {
 						cost = 1
 					}
@@ -260,50 +313,72 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 						// Report via sentinel; surfaced after enumeration.
 						cost = math.NaN()
 					}
-					p = len(in.classifiers)
-					in.classifiers = append(in.classifiers, Classifier{Props: sub, Cost: cost})
+					if set == nil {
+						set = newSet(q.Props, m)
+					}
+					p = int32(len(enum))
+					enum = append(enum, Classifier{Props: set, Cost: cost})
+					keys = append(keys, string(key))
 				}
-				pos[k] = p
+				if p < 0 {
+					pos[string(key)] = p
+				} else {
+					pos[keys[p]] = p
+				}
 			}
-			in.subsets = append(in.subsets, int32(p))
-		})
+			in.subsets = append(in.subsets, p)
+		}
 		in.subsetOff = append(in.subsetOff, len(in.subsets))
 	}
-	for _, c := range in.classifiers {
+	for _, c := range enum {
 		if math.IsNaN(c.Cost) {
 			return nil, fmt.Errorf("model: invalid (negative or NaN) cost for classifier %v", c.Props)
 		}
 	}
-	// Deterministic order: by length, then lexicographic key. rank maps
-	// an enumeration position to its sorted index.
-	order := make([]int, len(in.classifiers))
-	for i := range order {
-		order[i] = i
+	// Deterministic order: by length, then lexicographic key. Each
+	// position sorts as one integer: the length in the top bits, then
+	// the leading IDs in fixed-width fields, then the position itself.
+	// rank maps an enumeration position to its sorted index.
+	idxBits := bits.Len(uint(len(enum)))
+	lenBits := bits.Len(uint(in.maxLen))
+	idBits := max(bits.Len(uint(b.universe.Size())), 1)
+	fields := max((64-idxBits-lenBits)/idBits, 0)
+	packed := make([]uint64, len(enum))
+	for p, c := range enum {
+		v := uint64(len(c.Props))<<(64-lenBits) | uint64(p)
+		for j, id := range c.Props[:min(len(c.Props), fields)] {
+			v |= uint64(id) << (64 - lenBits - idBits*(j+1))
+		}
+		packed[p] = v
 	}
-	slices.SortFunc(order, func(i, j int) int {
-		return compareSets(in.classifiers[i].Props, in.classifiers[j].Props)
+	order := sortPacked(packed, idxBits, func(i, j int32) int {
+		return compareSets(enum[i].Props, enum[j].Props)
 	})
 	rank := make([]int32, len(order))
-	sorted := make([]Classifier, len(order))
+	in.classifiers = make([]Classifier, len(order))
+	in.byKey = make(map[string]int, len(order))
 	for i, p := range order {
 		rank[p] = int32(i)
-		sorted[i] = in.classifiers[p]
+		in.classifiers[i] = enum[p]
+		in.byKey[keys[p]] = i
 	}
-	in.classifiers = sorted
 	for i, p := range in.subsets {
 		if p >= 0 {
 			in.subsets[i] = rank[p]
 		}
 	}
-	for k, p := range pos {
-		if p < 0 {
-			delete(pos, k)
-		} else {
-			pos[k] = int(rank[p])
-		}
-	}
-	in.byKey = pos
 	return in, nil
+}
+
+// carve copies s into the chunked backing array *arena and returns the
+// copy, capped so that appending to it cannot reach a neighbor.
+func carve(arena *[]propset.ID, s propset.Set) propset.Set {
+	if len(*arena)+len(s) > cap(*arena) {
+		*arena = make([]propset.ID, 0, max(1024, len(s)))
+	}
+	start := len(*arena)
+	*arena = append(*arena, s...)
+	return (*arena)[start:len(*arena):len(*arena)]
 }
 
 // MustInstance is Instance, panicking on error. Intended for tests and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -467,5 +468,188 @@ func TestSubsetTable(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// randomReferenceBuilder draws a builder for the reference comparison:
+// queries of length 1–6 (some repeated, so utilities accumulate), over a
+// universe that is sometimes shared and already holds unused names,
+// classifiers priced explicitly at zero, +Inf or a positive cost, the
+// rest at a default that is sometimes nil (uniform) and sometimes a
+// function; a few trials carry a negative or NaN price or utility.
+func randomReferenceBuilder(rng *rand.Rand, u *propset.Universe) *Builder {
+	b := NewBuilder()
+	if u != nil {
+		b = NewBuilderWithUniverse(u)
+	}
+	names := make([]string, 3+rng.Intn(10))
+	for i := range names {
+		names[i] = fmt.Sprintf("p%d", rng.Intn(30))
+	}
+	draw := func(n int) []string {
+		props := make([]string, n)
+		for i := range props {
+			props[i] = names[rng.Intn(len(names))]
+		}
+		return props
+	}
+	var queries [][]string
+	for n := rng.Intn(25); n > 0; n-- {
+		props := draw(1 + rng.Intn(6))
+		if len(queries) > 0 && rng.Intn(8) == 0 {
+			props = queries[rng.Intn(len(queries))]
+		}
+		queries = append(queries, props)
+		utility := float64(rng.Intn(20))
+		if rng.Intn(60) == 0 {
+			utility = -1
+		}
+		b.AddQuery(utility, props...)
+	}
+	for n := rng.Intn(20); n > 0; n-- {
+		cost := []float64{0, math.Inf(1), 1.5, 3, 7.25}[rng.Intn(5)]
+		switch rng.Intn(80) {
+		case 0:
+			cost = -2
+		case 1:
+			cost = math.NaN()
+		}
+		b.SetCost(cost, draw(1+rng.Intn(3))...)
+	}
+	switch rng.Intn(3) {
+	case 0:
+		bad := rng.Intn(20) == 0
+		b.SetDefaultCost(func(s propset.Set) float64 {
+			h := uint64(0)
+			for _, id := range s {
+				h = h*31 + uint64(id) + 1
+			}
+			if h%17 == 0 {
+				return math.Inf(1)
+			}
+			if bad && h%5 == 0 {
+				return -1
+			}
+			return float64(h % 9)
+		})
+	case 1:
+		b.SetDefaultCost(func(s propset.Set) float64 { return 0.5 * float64(s.Len()) })
+	}
+	return b
+}
+
+// sameInstance fails unless got and want describe the same instance
+// down to classifier order, subset tables and every lookup.
+func sameInstance(t *testing.T, trial int, got, want *Instance) {
+	t.Helper()
+	if got.universe != want.universe || math.Float64bits(got.budget) != math.Float64bits(want.budget) || got.maxLen != want.maxLen {
+		t.Fatalf("trial %d: universe, budget or l differ", trial)
+	}
+	if len(got.queries) != len(want.queries) {
+		t.Fatalf("trial %d: %d queries, reference %d", trial, len(got.queries), len(want.queries))
+	}
+	for i, q := range got.queries {
+		if !q.Props.Equal(want.queries[i].Props) || math.Float64bits(q.Utility) != math.Float64bits(want.queries[i].Utility) {
+			t.Fatalf("trial %d: query %d is %v, reference %v", trial, i, q, want.queries[i])
+		}
+	}
+	if len(got.classifiers) != len(want.classifiers) {
+		t.Fatalf("trial %d: %d classifiers, reference %d", trial, len(got.classifiers), len(want.classifiers))
+	}
+	for i, c := range got.classifiers {
+		if !c.Props.Equal(want.classifiers[i].Props) || math.Float64bits(c.Cost) != math.Float64bits(want.classifiers[i].Cost) {
+			t.Fatalf("trial %d: classifier %d is %v, reference %v", trial, i, c, want.classifiers[i])
+		}
+	}
+	if !slices.Equal(got.subsets, want.subsets) || !slices.Equal(got.subsetOff, want.subsetOff) {
+		t.Fatalf("trial %d: subset tables differ", trial)
+	}
+	var probes []propset.Set
+	for _, q := range got.queries {
+		q.Props.Subsets(func(sub propset.Set) { probes = append(probes, sub) })
+	}
+	for id := 0; id < got.universe.Size(); id++ {
+		probes = append(probes, propset.New(propset.ID(id)), propset.New(0, propset.ID(id)))
+	}
+	for _, p := range probes {
+		gi, gok := got.ClassifierIndex(p)
+		wi, wok := want.ClassifierIndex(p)
+		if gi != wi || gok != wok {
+			t.Fatalf("trial %d: ClassifierIndex(%v) = %d %v, reference %d %v", trial, p, gi, gok, wi, wok)
+		}
+		if gc, wc := got.Cost(p), want.Cost(p); math.Float64bits(gc) != math.Float64bits(wc) {
+			t.Fatalf("trial %d: Cost(%v) = %v, reference %v", trial, p, gc, wc)
+		}
+	}
+}
+
+// Builder.Instance enumerates into scratch; the string-keyed reference
+// must agree with it on every input, errors included.
+func TestInstanceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	shared := propset.NewUniverse()
+	for i := 0; i < 12; i++ {
+		shared.Intern(fmt.Sprintf("p%d", 29-i))
+	}
+	errs := 0
+	for trial := 0; trial < 600; trial++ {
+		var u *propset.Universe
+		if trial%2 == 0 {
+			u = shared
+		}
+		b := randomReferenceBuilder(rng, u)
+		budget := float64(rng.Intn(30))
+		switch rng.Intn(40) {
+		case 0:
+			budget = -1
+		case 1:
+			budget = math.NaN()
+		}
+		got, gerr := b.Instance(budget)
+		want, werr := referenceInstance(b, budget)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("trial %d: error %v, reference %v", trial, gerr, werr)
+		}
+		if gerr != nil {
+			errs++
+			continue
+		}
+		sameInstance(t, trial, got, want)
+	}
+	if errs == 0 || errs > 300 {
+		t.Fatalf("%d of 600 trials were rejected; the generator should mix both", errs)
+	}
+}
+
+// Wide universes and long classifiers leave the packed sort keys of
+// Builder.Instance and the fingerprints too few fields to order every
+// set; the tied sets must still come out in reference order.
+func TestPackedOrderTies(t *testing.T) {
+	u := propset.NewUniverse()
+	for i := 0; i < 1<<16; i++ { // 17-bit IDs: three ID fields per key
+		u.Intern(fmt.Sprintf("w%05d", i))
+	}
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilderWithUniverse(u)
+	for i := 0; i < 600; i++ {
+		// Queries share their three leading names and differ after.
+		props := []string{"w00001", "w00002", "w00003"}
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			props = append(props, fmt.Sprintf("w%05d", 4+rng.Intn(1<<16-4)))
+		}
+		b.AddQuery(float64(1+rng.Intn(9)), props...)
+	}
+	b.SetDefaultCost(func(s propset.Set) float64 { return float64(s.Len()) })
+	got, err := b.Instance(50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceInstance(b, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameInstance(t, 0, got, want)
+	if got.Fingerprint() != referenceFingerprint(got) || got.Fingerprint2() != referenceFingerprint2(got) {
+		t.Fatal("fingerprints differ from the reference")
 	}
 }

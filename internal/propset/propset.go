@@ -13,7 +13,7 @@ package propset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -34,8 +34,13 @@ func New(ids ...ID) Set {
 	}
 	s := make(Set, len(ids))
 	copy(s, ids)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// De-duplicate in place.
+	return canonicalize(s)
+}
+
+// canonicalize sorts s, which must not be empty, and drops repeated
+// IDs, in place.
+func canonicalize(s Set) Set {
+	slices.Sort(s)
 	w := 1
 	for r := 1; r < len(s); r++ {
 		if s[r] != s[r-1] {
@@ -190,11 +195,18 @@ func (s Set) Key() string {
 	if len(s) == 0 {
 		return ""
 	}
-	b := make([]byte, 0, len(s)*4)
+	var buf [32]byte
+	return string(s.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the bytes of s.Key() to dst, so a caller with a
+// reused buffer can look a set up in a Key-keyed map (m[string(b)])
+// without allocating.
+func (s Set) AppendKey(dst []byte) []byte {
 	for _, id := range s {
-		b = append(b, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+		dst = append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 	}
-	return string(b)
+	return dst
 }
 
 // Clone returns an independent copy of the set.
@@ -293,11 +305,14 @@ func (u *Universe) Size() int { return len(u.names) }
 
 // SetOf interns all names and returns the resulting Set.
 func (u *Universe) SetOf(names ...string) Set {
-	ids := make([]ID, len(names))
+	if len(names) == 0 {
+		return nil
+	}
+	ids := make(Set, len(names))
 	for i, name := range names {
 		ids[i] = u.Intern(name)
 	}
-	return New(ids...)
+	return canonicalize(ids)
 }
 
 // Format renders a set using property names, e.g. "{table wooden}".

@@ -4,11 +4,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strconv"
 	"time"
-
-	"repro/internal/api"
-	"repro/internal/obs"
 )
 
 // solveBuckets are the latency buckets for whole solver executions —
@@ -86,39 +82,6 @@ func (s *Server) initMetrics() {
 		func() float64 { return float64(s.cache.Stats().SharedWaits) })
 	reg.CounterFunc("bcc_cache_evictions_total", "Entries dropped by LRU capacity pressure.", nil,
 		func() float64 { return float64(s.cache.Stats().Evictions) })
-}
-
-// instrument wraps a handler with per-route/status latency and count
-// recording — a bcc_http_request_seconds{route,code} histogram and a
-// bcc_http_requests_total{route,code} counter — plus panic containment:
-// a handler panic (e.g. an armed admission fault) becomes a JSON 500
-// answer instead of net/http's bare connection reset, so chaos clients
-// always receive a parseable status. Series are resolved after the
-// handler ran, when the status code is known; get-or-create makes that
-// race-free.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		// Every response names the process that produced it, so a caller
-		// behind bccgate can verify fingerprint affinity with curl -i.
-		w.Header().Set(api.BackendHeader, s.cfg.BackendID)
-		sw := &api.StatusWriter{ResponseWriter: w, Code: http.StatusOK}
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Add(1)
-				sw.Code = http.StatusInternalServerError
-				if !sw.Wrote {
-					api.WriteJSON(sw, http.StatusInternalServerError,
-						errorf(http.StatusInternalServerError, "internal panic: %v", p))
-				}
-			}
-			labels := obs.Labels{"route": route, "code": strconv.Itoa(sw.Code)}
-			s.reg.Histogram("bcc_http_request_seconds", "HTTP request latency by route and status.",
-				labels, obs.DefBuckets).Observe(time.Since(start).Seconds())
-			s.reg.Counter("bcc_http_requests_total", "HTTP requests by route and status.", labels).Inc()
-		}()
-		h(sw, r)
-	}
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition

@@ -8,16 +8,22 @@
 // Request flow for POST /v1/solve:
 //
 //	read body → SHA-256 → repeat memo hit? → canonical cache lookup → respond
-//	otherwise: decode → validate (dataset.FromFormat) → Fingerprint →
-//	cache lookup → single-flight join or pool admission → SolveCtx under
-//	the request deadline → respond (HTTP 200 even on deadline, carrying
-//	the anytime result with status=deadline) → cache Complete results →
-//	memoize the body digest
+//	otherwise: decode (api.DecodeBody) → build and validate
+//	(dataset.FromFormat) → Fingerprint → cache lookup → single-flight
+//	join or pool admission → SolveCtx under the request deadline →
+//	respond (HTTP 200 even on deadline, carrying the anytime result with
+//	status=deadline) → cache Complete results → memoize the body digest
 //
 // The repeat memo maps a body's digest to the parts of its canonical
 // cache key, never to an answer, so a byte-identical repeat skips the
 // decode, the instance build and the fingerprint while the canonical
-// cache stays the only store of answers.
+// cache stays the only store of answers. A body seen for the first time
+// takes the ingest path, built for ~440 KB bodies (DESIGN.md §9 "The
+// ingest path"): a one-pass schema decoder that falls back to
+// encoding/json outside the JSON subset it handles, an instance build
+// that validates on interned property IDs and enumerates subsets in
+// scratch, and fingerprints that sort rows by per-call name ranks
+// instead of by allocated canonical strings.
 //
 // Only Complete results are cached: a deadline-truncated plan is valid
 // but inferior, and must not shadow the full solution for later callers.
@@ -217,6 +223,11 @@ type Server struct {
 	// across algos/statuses without scraping the exposition text.
 	solveHistMu sync.Mutex
 	solveHists  []*obs.Histogram
+
+	// http instruments every route (bcc_http_request_seconds and
+	// bcc_http_requests_total by route and status, panic containment,
+	// the X-BCC-Backend header).
+	http api.Instrumentation
 }
 
 // New builds a Server from cfg.
@@ -234,6 +245,13 @@ func New(cfg Config) *Server {
 	// its bccfp2/1 hash + algo, and Import re-tags, so a bccsnap restore
 	// rebuilds the index from the persisted Fingerprint2 fields.
 	s.cache.SetTagger(siblingTag)
+	s.http = api.Instrumentation{
+		Registry: s.reg,
+		Latency:  "bcc_http_request_seconds", LatencyHelp: "HTTP request latency by route and status.",
+		Requests: "bcc_http_requests_total", RequestsHelp: "HTTP requests by route and status.",
+		Panics:  &s.panics,
+		Backend: cfg.BackendID,
+	}
 	s.initMetrics()
 	s.initIncrMetrics()
 	return s
@@ -284,19 +302,19 @@ func (s *Server) Cache() *solvecache.Cache { return s.cache }
 // Prometheus exposition (pprof lives on the separate DebugHandler).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.instrument("/v1/solve", s.handleSolve))
-	mux.HandleFunc("POST /v1/solve/batch", s.instrument("/v1/solve/batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/jobs", s.instrument("/v1/jobs", s.handleJobSubmit))
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleJobList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs/{id}", s.handleJobGet))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.instrument("/v1/jobs/{id}/result", s.handleJobResult))
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.instrument("/v1/jobs/{id}/cancel", s.handleJobCancel))
-	mux.HandleFunc("POST /v1/ingest", s.instrument("/v1/ingest", s.handleIngest))
-	mux.HandleFunc("GET /v1/plan/current", s.instrument("/v1/plan/current", s.handlePlanCurrent))
-	mux.HandleFunc("GET /v1/cache/entry", s.instrument("/v1/cache/entry", s.handleCacheEntry))
-	mux.HandleFunc("GET /v1/healthz", s.instrument("/v1/healthz", s.handleHealthz))
-	mux.HandleFunc("GET /v1/statz", s.instrument("/v1/statz", s.handleStatz))
-	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	mux.HandleFunc("POST /v1/solve", s.http.Instrument("/v1/solve", s.handleSolve))
+	mux.HandleFunc("POST /v1/solve/batch", s.http.Instrument("/v1/solve/batch", s.handleBatch))
+	mux.HandleFunc("POST /v1/jobs", s.http.Instrument("/v1/jobs", s.handleJobSubmit))
+	mux.HandleFunc("GET /v1/jobs", s.http.Instrument("/v1/jobs", s.handleJobList))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.http.Instrument("/v1/jobs/{id}", s.handleJobGet))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.http.Instrument("/v1/jobs/{id}/result", s.handleJobResult))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.http.Instrument("/v1/jobs/{id}/cancel", s.handleJobCancel))
+	mux.HandleFunc("POST /v1/ingest", s.http.Instrument("/v1/ingest", s.handleIngest))
+	mux.HandleFunc("GET /v1/plan/current", s.http.Instrument("/v1/plan/current", s.handlePlanCurrent))
+	mux.HandleFunc("GET /v1/cache/entry", s.http.Instrument("/v1/cache/entry", s.handleCacheEntry))
+	mux.HandleFunc("GET /v1/healthz", s.http.Instrument("/v1/healthz", s.handleHealthz))
+	mux.HandleFunc("GET /v1/statz", s.http.Instrument("/v1/statz", s.handleStatz))
+	mux.HandleFunc("GET /metrics", s.http.Instrument("/metrics", s.handleMetrics))
 	return mux
 }
 

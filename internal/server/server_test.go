@@ -486,3 +486,38 @@ func TestOversizedBodyRejected(t *testing.T) {
 		t.Errorf("status = %d, want 413", resp.StatusCode)
 	}
 }
+
+// A body with anything but whitespace after its JSON value is a 400 at
+// every route that decodes one; before, the first value was solved and
+// the rest ignored. The trailing newline json.Encoder writes is fine.
+func TestTrailingBytesAfterBody400(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	value, err := json.Marshal(SolveRequest{Instance: quickstartFormat(8), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append(append([]byte(`{"requests":[`), value...), ']', '}')
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/solve", string(value) + `{"algo":"gmc3"} trailing garbage`},
+		{"/v1/solve", string(value) + ` x`},
+		{"/v1/solve/batch", string(batch) + `{}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var e Error
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &e) != nil ||
+			!strings.HasPrefix(e.Msg, "decoding request: ") {
+			t.Errorf("%s %q: HTTP %d %s, want 400 decoding request", tc.route, tc.body, resp.StatusCode, data)
+		}
+	}
+	if st := s.Statz(); st.Solves != 0 {
+		t.Fatalf("%d solves ran for rejected bodies", st.Solves)
+	}
+	if code, resp := postRaw(t, ts, append(value, '\n')); code != http.StatusOK || resp.Status != "complete" {
+		t.Fatalf("body with a trailing newline: HTTP %d status %q", code, resp.Status)
+	}
+}
