@@ -60,8 +60,9 @@ soak-smoke:
 ## kernels against their dense oracles (FuzzQK), the exact knapsack DP
 ## against its fresh-table oracle (FuzzKnapsack), the query-log parser
 ## (FuzzParse), /v1/solve answering any body the same way twice
-## (FuzzSolveBody), and the /v1/solve schema decoder against
-## encoding/json (FuzzDecodeSolveRequest).
+## (FuzzSolveBody), the /v1/solve schema decoder against
+## encoding/json (FuzzDecodeSolveRequest), and the warm-plan repair
+## against its string-keyed oracle (FuzzRepairSets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -74,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
 	$(GO) test -run '^$$' -fuzz FuzzSolveBody -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 10s ./internal/api/
+	$(GO) test -run '^$$' -fuzz FuzzRepairSets -fuzztime 10s ./internal/incr/
 
 ## cluster-smoke: the scale-out acceptance scenario under the race
 ## detector — a bccgate gateway over two in-process backends, checking
@@ -128,7 +130,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/submod/ ./internal/eval/ ./internal/incr/
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/submod/ ./internal/eval/ ./internal/incr/ ./internal/model/
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

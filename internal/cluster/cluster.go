@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -406,7 +407,13 @@ func (c *Cluster) probeOne(b *backend) {
 		b.probeErr.Store(err.Error())
 		return
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// The transport reuses a connection only once its response body
+		// was read to the end. The bound keeps a runaway body from
+		// holding the probe; a failed drain costs only the reuse.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+		resp.Body.Close()
+	}()
 	if id := resp.Header.Get(api.BackendHeader); id != "" {
 		b.reportedID.Store(id)
 	}
@@ -549,6 +556,13 @@ func (c *Cluster) Solve(ctx context.Context, req *api.SolveRequest, fp string) (
 // cached plan — exact key first, near-miss sibling second — is attached
 // as the request's warm seed before dispatch.
 func (c *Cluster) SolveRouted(ctx context.Context, body []byte, fp string) ([]byte, RouteInfo, error) {
+	return c.solveRouted(ctx, body, ingested{}, fp)
+}
+
+// solveRouted is SolveRouted for a body whose decoded request and
+// instance the caller may already hold, so that peer fill does not
+// derive them again.
+func (c *Cluster) solveRouted(ctx context.Context, body []byte, got ingested, fp string) ([]byte, RouteInfo, error) {
 	primary, secondary, affinity := c.pick(fp, nil)
 	if primary == nil {
 		c.noBackend.Add(1)
@@ -560,7 +574,7 @@ func (c *Cluster) SolveRouted(ctx context.Context, body []byte, fp string) ([]by
 		c.fallbackPicks.Add(1)
 	}
 	route := RouteInfo{BackendURL: primary.url, BackendID: primary.displayID(), Affinity: affinity}
-	if filled, ok := c.maybePeerFill(ctx, body, fp, primary, secondary); ok {
+	if filled, ok := c.maybePeerFill(ctx, body, got, fp, primary, secondary); ok {
 		body = filled
 		route.PeerFilled = true
 	}

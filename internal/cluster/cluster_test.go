@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -436,5 +437,29 @@ func TestSolveNonRetryableNoFailover(t *testing.T) {
 	}
 	if c.Stats().Failovers != 0 {
 		t.Fatal("a 400 answer triggered failover")
+	}
+}
+
+// A health probe must leave its connection reusable: probing one
+// backend many times opens about one connection, not one per probe.
+func TestProbeReusesConnection(t *testing.T) {
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		api.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := newTestCluster(t, []string{ts.URL}, nil) // probes once
+	const probes = 40
+	for i := 0; i < probes; i++ {
+		c.ProbeNow()
+	}
+	if n := opened.Load(); n > probes/8 {
+		t.Fatalf("%d health probes opened %d connections, want them to share a few", probes+1, n)
 	}
 }

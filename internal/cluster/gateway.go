@@ -180,13 +180,13 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, apiErr)
 		return
 	}
-	fp, apiErr := g.routeFingerprint(body)
+	fp, got, apiErr := g.routeFingerprint(body)
 	if apiErr != nil {
 		g.badRequests.Add(1)
 		api.WriteError(w, apiErr)
 		return
 	}
-	answer, route, err := g.cl.SolveRouted(r.Context(), body, fp)
+	answer, route, err := g.cl.solveRouted(r.Context(), body, got, fp)
 	if err != nil {
 		api.WriteError(w, routeError(err))
 		return
@@ -199,26 +199,28 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // routeFingerprint returns the routing fingerprint of a /v1/solve body:
 // from the route memo for a byte-identical repeat, else by decoding the
-// body and computing RouteFingerprint. Only bodies that validate are
-// memoized, so an invalid one is answered 400 here every time.
-func (g *Gateway) routeFingerprint(body []byte) (string, *api.Error) {
+// body and fingerprinting its instance, which it also returns for peer
+// fill to reuse. Only bodies that validate are memoized, so an invalid
+// one is answered 400 here every time.
+func (g *Gateway) routeFingerprint(body []byte) (string, ingested, *api.Error) {
 	// SHA-256, not a faster non-cryptographic hash: a collision would
 	// route, and on the backend answer, one body as another.
 	sum := sha256.Sum256(body)
 	digest := string(sum[:])
 	if fp, ok := g.routes.Get(digest); ok {
-		return fp.(string), nil
+		return fp.(string), ingested{}, nil
 	}
-	var req api.SolveRequest
-	if apiErr := api.DecodeBody(body, &req); apiErr != nil {
-		return "", apiErr
+	req := new(api.SolveRequest)
+	if apiErr := api.DecodeBody(body, req); apiErr != nil {
+		return "", ingested{}, apiErr
 	}
-	fp, apiErr := RouteFingerprint(&req)
+	in, apiErr := routeInstance(req)
 	if apiErr != nil {
-		return "", apiErr
+		return "", ingested{}, apiErr
 	}
+	fp := in.Fingerprint()
 	g.routes.Put(digest, fp)
-	return fp, nil
+	return fp, ingested{req: req, in: in}, nil
 }
 
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {

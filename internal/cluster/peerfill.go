@@ -9,6 +9,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/dataset"
+	"repro/internal/model"
 )
 
 // Fleet peer fill (DESIGN.md §17): when a backend joins a running
@@ -27,14 +28,23 @@ import (
 // the join (the cluster already computes it as the failover
 // secondary).
 
+// ingested is what routing derived from a /v1/solve body: the decoded
+// request and its instance, budget override applied. Both are nil when
+// the route came without decoding, as for a byte-identical repeat.
+type ingested struct {
+	req *api.SolveRequest
+	in  *model.Instance
+}
+
 // maybePeerFill returns body re-encoded with a WarmPlan attached, and
 // true, when a peer fill applies and the donor had a usable plan. Fill
 // applies when the primary joined within the configured window, the
 // request carries no warm seed of its own, the cache is in play, and
-// the algorithm can consume warm starts. The body is decoded only once
-// the primary is inside its window. Failures are misses, never errors:
-// the solve proceeds cold exactly as it would have without peer fill.
-func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, fp string, primary, donor *backend) ([]byte, bool) {
+// the algorithm can consume warm starts. got is reused when routing
+// already decoded the body; otherwise the body is decoded only once the
+// primary is inside its window. Failures are misses, never errors: the
+// solve proceeds cold exactly as it would have without peer fill.
+func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, got ingested, fp string, primary, donor *backend) ([]byte, bool) {
 	if c.cfg.PeerFillWindow < 0 || donor == nil {
 		return nil, false
 	}
@@ -42,8 +52,14 @@ func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, fp string, pri
 	if joined == 0 || time.Since(time.Unix(0, joined)) > c.cfg.PeerFillWindow {
 		return nil, false
 	}
-	var req api.SolveRequest
-	if api.DecodeBody(body, &req) != nil || len(req.WarmPlan) > 0 || req.NoCache {
+	if got.req == nil {
+		got = ingested{req: new(api.SolveRequest)}
+		if api.DecodeBody(body, got.req) != nil {
+			return nil, false
+		}
+	}
+	req := *got.req // a copy: the warm plan is attached to it alone
+	if len(req.WarmPlan) > 0 || req.NoCache {
 		return nil, false
 	}
 	algoName := req.Algo
@@ -62,7 +78,11 @@ func (c *Cluster) maybePeerFill(ctx context.Context, body []byte, fp string, pri
 		// No exact answer on the donor; any near-miss sibling (same
 		// queries, different budget/utilities) still seeds well. Only
 		// this lookup reads the near-miss hash, so it is computed here.
-		if in, ferr := dataset.FromFormat(req.Instance); ferr == nil {
+		in, ferr := got.in, error(nil)
+		if in == nil {
+			in, ferr = dataset.FromFormat(req.Instance)
+		}
+		if ferr == nil {
 			entry, err = c.cl.CacheSiblingOpts(fctx, in.Fingerprint2(), algoName, opts)
 		}
 	}

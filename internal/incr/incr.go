@@ -25,6 +25,7 @@ package incr
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,20 +113,26 @@ func queryKey(u *propset.Universe, s propset.Set) string {
 // are stale by construction and dropped.
 func Repair(in *model.Instance, plan [][]string) []propset.Set {
 	u := in.Universe()
+	n := 0
+	for _, names := range plan {
+		n += len(names)
+	}
+	ids := make([]propset.ID, 0, n) // backs every set
 	sets := make([]propset.Set, 0, len(plan))
 	for _, names := range plan {
-		ids := make([]propset.ID, 0, len(names))
-		ok := true
-		for _, n := range names {
-			id, found := u.Lookup(n)
+		start := len(ids)
+		for _, name := range names {
+			id, found := u.Lookup(name)
 			if !found {
-				ok = false
+				ids = ids[:start]
 				break
 			}
 			ids = append(ids, id)
 		}
-		if ok && len(ids) > 0 {
-			sets = append(sets, propset.New(ids...))
+		if len(ids) > start {
+			s := propset.Set(ids[start:len(ids):len(ids)])
+			slices.Sort(s)
+			sets = append(sets, slices.Compact(s))
 		}
 	}
 	return RepairSets(in, sets)
@@ -135,8 +142,8 @@ func Repair(in *model.Instance, plan [][]string) []propset.Set {
 // from a previous plan, it returns a subset that is feasible and lean for
 // the present instance:
 //
-//  1. Stale sets — duplicates, sets outside CL (infinite cost) — are
-//     dropped.
+//  1. Stale sets — duplicates, sets outside CL — are dropped. A set
+//     outside CL covers nothing, so it could never be picked below.
 //  2. Survivors are selected greedily by marginal-coverage-per-cost: a
 //     candidate's score credits both queries it completes and partial
 //     residual progress (so two half-covers of one query are kept as a
@@ -146,72 +153,84 @@ func Repair(in *model.Instance, plan [][]string) []propset.Set {
 //     utility unchanged — budget spent on nothing is returned to the
 //     solver.
 //
-// The result is deterministic (score, then cost, then canonical key) and
+// The result is deterministic (score, then cost, then property IDs) and
 // never exceeds in.Budget(). An empty result is valid: it means nothing
 // of the old plan survived, and the solve proceeds cold.
 func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
-	// Stage 1: stale filter.
-	cands := make([]propset.Set, 0, len(sets))
-	seen := make(map[string]bool, len(sets))
+	if len(sets) == 0 {
+		return nil
+	}
+	// Stage 1: stale filter. candOf maps a classifier index to its
+	// candidate, −1 for none.
+	cls := in.Classifiers()
+	candOf := make([]int32, len(cls))
+	for i := range candOf {
+		candOf[i] = -1
+	}
+	var (
+		cands []propset.Set
+		idx   []int
+	)
 	for _, s := range sets {
-		if s.Empty() || seen[s.Key()] {
+		ci, ok := in.ClassifierIndex(s)
+		if !ok || candOf[ci] >= 0 {
 			continue
 		}
-		if math.IsInf(in.Cost(s), 1) {
-			continue
-		}
-		seen[s.Key()] = true
+		candOf[ci] = int32(len(cands))
 		cands = append(cands, s)
+		idx = append(idx, ci)
 	}
 	if len(cands) == 0 {
 		return nil
 	}
 
-	// Stage 2: greedy budget-feasible selection. A finite-cost set
-	// outside CL covers nothing, so it never scores.
+	// Stage 2: greedy budget-feasible selection, best candidate first.
 	t := cover.New(in)
-	idx := make([]int, len(cands))
-	for i, c := range cands {
-		idx[i] = -1
-		if ci, ok := in.ClassifierIndex(c); ok {
-			idx[i] = ci
-		}
+	g := &greedy{
+		sets:  cands,
+		score: make([]float64, len(cands)),
+		cost:  make([]float64, len(cands)),
+		at:    make([]int32, len(cands)),
+		heap:  make([]int32, 0, len(cands)),
 	}
-	used := make([]bool, len(cands))
-	var order []int
-	for {
-		best, bestScore, bestCost := -1, 0.0, 0.0
-		for i, c := range cands {
-			if used[i] || idx[i] < 0 {
-				continue
-			}
-			cost := in.Classifiers()[idx[i]].Cost
-			if t.Cost()+cost > in.Budget()+1e-9 {
-				continue
-			}
-			// Coverage progress: each uncovered query containing c earns
-			// its utility times the share of its residual c would test.
-			score := t.ProgressGain(idx[i])
-			if score <= 0 {
-				continue
-			}
-			if cost > 0 {
-				score /= cost
-			} else {
-				score = math.Inf(1)
-			}
-			if best < 0 || score > bestScore ||
-				(score == bestScore && (cost < bestCost ||
-					(cost == bestCost && c.Key() < cands[best].Key()))) {
-				best, bestScore, bestCost = i, score, cost
-			}
+	for i, ci := range idx {
+		g.cost[i] = cls[ci].Cost
+		g.at[i] = -1
+		g.reprice(i, t.ProgressGain(ci))
+	}
+	// done marks the candidates picked, and those out of the budget:
+	// spending only grows, so a candidate that does not fit now never
+	// will.
+	done := make([]bool, len(cands))
+	var order, touched []int
+	for len(g.heap) > 0 {
+		best := int(g.heap[0])
+		g.remove(best)
+		done[best] = true
+		if t.Cost()+g.cost[best] > in.Budget()+1e-9 {
+			continue
 		}
-		if best < 0 {
-			break
-		}
-		used[best] = true
-		t.AddIndex(idx[best])
 		order = append(order, best)
+		// Only the queries whose residual the pick shrinks change, and
+		// with them the gains of the candidates they contain.
+		touched = touched[:0]
+		qs, masks := t.Occurrences(idx[best])
+		for j, qi := range qs {
+			if t.ResidualMask(qi)&masks[j] != 0 {
+				touched = append(touched, qi)
+			}
+		}
+		t.AddIndex(idx[best])
+		for _, qi := range touched {
+			for _, ci := range in.SubsetTable(qi) {
+				if ci < 0 {
+					continue
+				}
+				if i := candOf[ci]; i >= 0 && !done[i] {
+					g.reprice(int(i), t.ProgressGain(int(ci)))
+				}
+			}
+		}
 	}
 
 	// Stage 3: reverse peel of zero-contribution picks.
@@ -237,6 +256,98 @@ func RepairSets(in *model.Instance, sets []propset.Set) []propset.Set {
 		}
 	}
 	return out
+}
+
+// greedy is RepairSets' selection state: each candidate's score from
+// its cached coverage progress, and a binary max-heap of the candidates
+// with positive progress, best first. at[i] is candidate i's position in
+// heap, −1 when it is not there.
+type greedy struct {
+	sets  []propset.Set
+	score []float64
+	cost  []float64
+	at    []int32
+	heap  []int32
+}
+
+// reprice scores candidate i by its coverage progress gain, entering it
+// into the heap, moving it there or taking it out. Coverage progress
+// credits each uncovered query containing the candidate with its
+// utility times the share of its residual the candidate would test; a
+// zero-cost candidate with any progress scores +Inf.
+func (g *greedy) reprice(i int, gain float64) {
+	if gain <= 0 {
+		if g.at[i] >= 0 {
+			g.remove(i)
+		}
+		return
+	}
+	g.score[i] = math.Inf(1)
+	if g.cost[i] > 0 {
+		g.score[i] = gain / g.cost[i]
+	}
+	if g.at[i] < 0 {
+		g.at[i] = int32(len(g.heap))
+		g.heap = append(g.heap, int32(i))
+	}
+	g.fix(int(g.at[i]))
+}
+
+// better orders candidates by score descending, then cost ascending,
+// then property IDs ascending, which is the order of their keys.
+func (g *greedy) better(a, b int32) bool {
+	if g.score[a] != g.score[b] {
+		return g.score[a] > g.score[b]
+	}
+	if g.cost[a] != g.cost[b] {
+		return g.cost[a] < g.cost[b]
+	}
+	return slices.Compare(g.sets[a], g.sets[b]) < 0
+}
+
+// remove takes candidate i out of the heap.
+func (g *greedy) remove(i int) {
+	p := int(g.at[i])
+	last := len(g.heap) - 1
+	g.swap(p, last)
+	g.heap = g.heap[:last]
+	g.at[i] = -1
+	if p < last {
+		g.fix(p)
+	}
+}
+
+// fix restores the heap order around position p after its candidate's
+// score changed.
+func (g *greedy) fix(p int) {
+	for p > 0 {
+		parent := (p - 1) / 2
+		if !g.better(g.heap[p], g.heap[parent]) {
+			break
+		}
+		g.swap(p, parent)
+		p = parent
+	}
+	for {
+		c := 2*p + 1
+		if c >= len(g.heap) {
+			return
+		}
+		if c+1 < len(g.heap) && g.better(g.heap[c+1], g.heap[c]) {
+			c++
+		}
+		if !g.better(g.heap[c], g.heap[p]) {
+			return
+		}
+		g.swap(p, c)
+		p = c
+	}
+}
+
+func (g *greedy) swap(p, q int) {
+	g.heap[p], g.heap[q] = g.heap[q], g.heap[p]
+	g.at[g.heap[p]] = int32(p)
+	g.at[g.heap[q]] = int32(q)
 }
 
 // Floor is the runtime quality floor every warm path is held to: the

@@ -53,12 +53,13 @@ type Instance struct {
 	queries  []Query
 	budget   float64
 
-	costs       map[string]float64
-	defaultCost func(propset.Set) float64
-
-	classifiers []Classifier   // enumerated CL, finite-cost only, sorted
-	byKey       map[string]int // classifier key -> index into classifiers
-	maxLen      int            // the paper's length parameter l
+	classifiers []Classifier // enumerated CL, finite-cost only, sorted
+	// index numbers each classifier by its index into classifiers, and
+	// after them the sets priced explicitly but contained in no query,
+	// whose prices are outside[n − len(classifiers)].
+	index   propset.Index
+	outside []float64
+	maxLen  int // the paper's length parameter l
 
 	// subsets holds every query's subset table back to back; query qi's
 	// table is subsets[subsetOff[qi]:subsetOff[qi+1]] (see SubsetTable).
@@ -101,21 +102,25 @@ func (in *Instance) SubsetTable(qi int) []int32 {
 // ClassifierIndex returns the index into Classifiers of the classifier
 // testing exactly props, and whether such a (finite-cost) candidate exists.
 func (in *Instance) ClassifierIndex(props propset.Set) (int, bool) {
-	i, ok := in.byKey[props.Key()]
-	return i, ok
+	if i, _ := in.index.Find(props); i >= 0 && i < len(in.classifiers) {
+		return i, true
+	}
+	return 0, false
 }
 
 // Cost returns the construction cost of the classifier testing exactly
-// props. Classifiers outside CL or explicitly priced +Inf return +Inf.
+// props. Classifiers outside CL or explicitly priced +Inf return +Inf;
+// a set contained in no query returns its explicit price, if it has one.
 func (in *Instance) Cost(props propset.Set) float64 {
-	key := props.Key()
-	if c, ok := in.costs[key]; ok {
-		return c
-	}
-	if i, ok := in.byKey[key]; ok {
+	i, _ := in.index.Find(props)
+	switch {
+	case i < 0:
+		return math.Inf(1)
+	case i < len(in.classifiers):
 		return in.classifiers[i].Cost
+	default:
+		return in.outside[i-len(in.classifiers)]
 	}
-	return math.Inf(1)
 }
 
 // TotalUtility returns the sum of all query utilities — the objective value
@@ -140,13 +145,11 @@ func (in *Instance) WithBudget(b float64) *Instance {
 // immutable Instance.
 type Builder struct {
 	universe  *propset.Universe
-	index     map[string]int // query key -> index into order and utilities
-	order     []propset.Set  // query insertion order, deduplicated
-	utilities []float64
-	costs     map[string]float64
+	queries   propset.Index // distinct non-empty queries, in insertion order
+	utilities []float64     // by query number
+	priced    propset.Index // sets given an explicit price
+	prices    []float64     // by priced number
 	defCost   func(propset.Set) float64
-	key       []byte       // scratch for index lookups
-	sets      []propset.ID // backs the sets in order
 }
 
 // NewBuilder returns a Builder with a fresh property universe.
@@ -157,23 +160,18 @@ func NewBuilder() *Builder {
 // NewBuilderSize is NewBuilder with room reserved for the given numbers
 // of distinct queries and explicit prices, for callers that know them.
 func NewBuilderSize(queries, costs int) *Builder {
-	return &Builder{
-		universe:  propset.NewUniverse(),
-		index:     make(map[string]int, queries),
-		order:     make([]propset.Set, 0, queries),
-		utilities: make([]float64, 0, queries),
-		costs:     make(map[string]float64, costs),
-	}
+	b := NewBuilder()
+	b.queries.Grow(queries, 0)
+	b.utilities = make([]float64, 0, queries)
+	b.priced.Grow(costs, 0)
+	b.prices = make([]float64, 0, costs)
+	return b
 }
 
 // NewBuilderWithUniverse returns a Builder interning into an existing
 // universe, allowing several instances to share property IDs.
 func NewBuilderWithUniverse(u *propset.Universe) *Builder {
-	return &Builder{
-		universe: u,
-		index:    make(map[string]int),
-		costs:    make(map[string]float64),
-	}
+	return &Builder{universe: u}
 }
 
 // Universe exposes the builder's property universe.
@@ -181,7 +179,7 @@ func (b *Builder) Universe() *propset.Universe { return b.universe }
 
 // NumQueries reports how many distinct non-empty queries were added so
 // far.
-func (b *Builder) NumQueries() int { return len(b.order) }
+func (b *Builder) NumQueries() int { return b.queries.Len() }
 
 // AddQuery records a query given by property names. Adding the same
 // property set twice accumulates utility (two workload entries for the same
@@ -195,12 +193,9 @@ func (b *Builder) AddQuerySet(s propset.Set, utility float64) *Builder {
 	if s.Empty() {
 		return b
 	}
-	b.key = s.AppendKey(b.key[:0])
-	i, seen := b.index[string(b.key)]
-	if !seen {
-		i = len(b.order)
-		b.index[string(b.key)] = i
-		b.order = append(b.order, carve(&b.sets, s))
+	i, h := b.queries.Find(s)
+	if i < 0 {
+		i = b.queries.Add(s, h)
 		b.utilities = append(b.utilities, 0)
 	}
 	b.utilities[i] += utility
@@ -216,7 +211,12 @@ func (b *Builder) SetCost(cost float64, props ...string) *Builder {
 
 // SetCostSet fixes a classifier cost by property set.
 func (b *Builder) SetCostSet(s propset.Set, cost float64) *Builder {
-	b.costs[s.Key()] = cost
+	if i, h := b.priced.Find(s); i < 0 {
+		b.priced.Add(s, h)
+		b.prices = append(b.prices, cost)
+	} else {
+		b.prices[i] = cost
+	}
 	return b
 }
 
@@ -229,22 +229,19 @@ func (b *Builder) SetDefaultCost(fn func(propset.Set) float64) *Builder {
 }
 
 // Instance enumerates CL and freezes the problem with the given budget.
+// The instance shares no mutable state with b: later calls on b leave it
+// as it is.
 func (b *Builder) Instance(budget float64) (*Instance, error) {
 	if budget < 0 || math.IsNaN(budget) {
 		return nil, fmt.Errorf("model: invalid budget %v", budget)
 	}
-	if len(b.order) == 0 {
+	if b.queries.Len() == 0 {
 		return nil, errors.New("model: instance has no queries")
 	}
-	in := &Instance{
-		universe:    b.universe,
-		budget:      budget,
-		costs:       b.costs,
-		defaultCost: b.defCost,
-	}
-	in.queries = make([]Query, 0, len(b.order))
-	for i, s := range b.order {
-		u := b.utilities[i]
+	in := &Instance{universe: b.universe, budget: budget}
+	in.queries = make([]Query, 0, b.queries.Len())
+	for i, u := range b.utilities {
+		s := b.queries.Set(i)
 		if u < 0 || math.IsNaN(u) {
 			return nil, fmt.Errorf("model: invalid utility %v for query %v", u, s)
 		}
@@ -257,35 +254,30 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 		panic(fmt.Sprintf("propset: refusing to enumerate 2^%d subsets", in.maxLen))
 	}
 	// Enumerate CL = ∪_q 2^q \ ∅, dropping infinite-cost classifiers,
-	// and fill each query's subset table with enumeration positions,
-	// visiting each query's masks in ascending order. A subset is built
-	// in scratch and looked up by its key bytes, which allocates
-	// nothing; only a subset seen for the first time gets a key string
-	// and, when it joins CL, a Set of its own.
+	// and fill each query's subset table, visiting each query's masks in
+	// ascending order. A subset is built in scratch and looked up by
+	// content, which allocates nothing; seen copies a subset met for the
+	// first time and numbers it, +Inf ones included, and cost[n] is the
+	// price of the subset numbered n. The subset tables hold these
+	// numbers until the sort below turns them into classifier indices.
 	total := 0
 	for _, q := range in.queries {
 		total += 1<<q.Props.Len() - 1
 	}
 	in.subsets = make([]int32, 0, total)
 	in.subsetOff = make([]int, 1, len(in.queries)+1)
-	// pos maps key -> enumeration position, -1 when +Inf; keys[p] is
-	// position p's key. CL has at least one set per query, and an
-	// explicit price usually names a member, which sizes them.
-	hint := min(total, len(in.queries)+len(b.costs))
-	pos := make(map[string]int32, hint)
+	// seen holds at least one subset per query, and an explicit price
+	// usually names a distinct member of CL, which sizes it; an instance
+	// priced less completely grows it.
+	hint := min(total, max(len(in.queries), b.priced.Len()))
+	var seen propset.Index
+	seen.Grow(hint, 0)
 	var (
-		enum  = make([]Classifier, 0, hint)
-		keys  = make([]string, 0, hint)
-		key   []byte
-		sub   = make(propset.Set, 0, in.maxLen)
-		arena []propset.ID // backs the Sets of new classifiers
+		cost = make([]float64, 0, hint)
+		// contained[j] records that some query contains priced set j.
+		contained = make([]bool, b.priced.Len())
+		sub       = make(propset.Set, 0, in.maxLen)
 	)
-	newSet := func(q propset.Set, m uint32) propset.Set {
-		if m == 1<<len(q)-1 {
-			return q // the query itself: sets are immutable, so share it
-		}
-		return carve(&arena, sub)
-	}
 	for _, q := range in.queries {
 		for m := uint32(1); m < 1<<len(q.Props); m++ {
 			sub = sub[:0]
@@ -294,91 +286,94 @@ func (b *Builder) Instance(budget float64) (*Instance, error) {
 					sub = append(sub, id)
 				}
 			}
-			key = sub.AppendKey(key[:0])
-			p, ok := pos[string(key)]
-			if !ok {
-				p = -1
-				var set propset.Set
-				cost, priced := b.costs[string(key)]
-				if !priced {
-					if b.defCost != nil {
-						set = newSet(q.Props, m)
-						cost = b.defCost(set)
-					} else {
-						cost = 1
-					}
+			n, h := seen.Find(sub)
+			if n < 0 {
+				n = seen.Add(sub, h)
+				c := 1.0
+				if j, _ := b.priced.Find(sub); j >= 0 {
+					c = b.prices[j]
+					contained[j] = true
+				} else if b.defCost != nil {
+					c = b.defCost(seen.Set(n))
 				}
-				if !math.IsInf(cost, 1) {
-					if cost < 0 || math.IsNaN(cost) {
-						// Report via sentinel; surfaced after enumeration.
-						cost = math.NaN()
-					}
-					if set == nil {
-						set = newSet(q.Props, m)
-					}
-					p = int32(len(enum))
-					enum = append(enum, Classifier{Props: set, Cost: cost})
-					keys = append(keys, string(key))
-				}
-				if p < 0 {
-					pos[string(key)] = p
-				} else {
-					pos[keys[p]] = p
-				}
+				cost = append(cost, c)
 			}
-			in.subsets = append(in.subsets, p)
+			in.subsets = append(in.subsets, int32(n))
 		}
 		in.subsetOff = append(in.subsetOff, len(in.subsets))
 	}
-	for _, c := range enum {
-		if math.IsNaN(c.Cost) {
-			return nil, fmt.Errorf("model: invalid (negative or NaN) cost for classifier %v", c.Props)
+	// enum lists the numbers of the subsets that join CL, in the order
+	// first met; clIDs counts their IDs.
+	enum := make([]int32, 0, len(cost))
+	clIDs := 0
+	for n, c := range cost {
+		if math.IsInf(c, 1) {
+			continue
 		}
+		if c < 0 || math.IsNaN(c) {
+			return nil, fmt.Errorf("model: invalid (negative or NaN) cost for classifier %v", seen.Set(n))
+		}
+		enum = append(enum, int32(n))
+		clIDs += seen.Set(n).Len()
 	}
 	// Deterministic order: by length, then lexicographic key. Each
-	// position sorts as one integer: the length in the top bits, then
-	// the leading IDs in fixed-width fields, then the position itself.
-	// rank maps an enumeration position to its sorted index.
+	// member of enum sorts as one integer: the length in the top bits,
+	// then the leading IDs in fixed-width fields, then its position in
+	// enum. rank maps a subset's number to its classifier index, −1
+	// when it is +Inf.
 	idxBits := bits.Len(uint(len(enum)))
 	lenBits := bits.Len(uint(in.maxLen))
 	idBits := max(bits.Len(uint(b.universe.Size())), 1)
 	fields := max((64-idxBits-lenBits)/idBits, 0)
 	packed := make([]uint64, len(enum))
-	for p, c := range enum {
-		v := uint64(len(c.Props))<<(64-lenBits) | uint64(p)
-		for j, id := range c.Props[:min(len(c.Props), fields)] {
+	for p, n := range enum {
+		s := seen.Set(int(n))
+		v := uint64(len(s))<<(64-lenBits) | uint64(p)
+		for j, id := range s[:min(len(s), fields)] {
 			v |= uint64(id) << (64 - lenBits - idBits*(j+1))
 		}
 		packed[p] = v
 	}
 	order := sortPacked(packed, idxBits, func(i, j int32) int {
-		return compareSets(enum[i].Props, enum[j].Props)
+		return compareSets(seen.Set(int(enum[i])), seen.Set(int(enum[j])))
 	})
-	rank := make([]int32, len(order))
-	in.classifiers = make([]Classifier, len(order))
-	in.byKey = make(map[string]int, len(order))
-	for i, p := range order {
-		rank[p] = int32(i)
-		in.classifiers[i] = enum[p]
-		in.byKey[keys[p]] = i
-	}
-	for i, p := range in.subsets {
-		if p >= 0 {
-			in.subsets[i] = rank[p]
+	// The instance's index copies the classifiers in sorted order, so
+	// that it numbers each by its index and the classifiers share its
+	// copies, then the sets priced explicitly that no query contains:
+	// Cost answers with those prices, except +Inf, which an unknown set
+	// gets anyway. seen, and the +Inf subsets with it, is dropped.
+	var outside []int // by priced number
+	outsideIDs := 0
+	for j, c := range contained {
+		if !c && !math.IsInf(b.prices[j], 1) {
+			outside = append(outside, j)
+			outsideIDs += b.priced.Set(j).Len()
 		}
 	}
-	return in, nil
-}
-
-// carve copies s into the chunked backing array *arena and returns the
-// copy, capped so that appending to it cannot reach a neighbor.
-func carve(arena *[]propset.ID, s propset.Set) propset.Set {
-	if len(*arena)+len(s) > cap(*arena) {
-		*arena = make([]propset.ID, 0, max(1024, len(s)))
+	in.index.Grow(len(order)+len(outside), clIDs+outsideIDs)
+	rank := make([]int32, len(cost))
+	for n := range rank {
+		rank[n] = -1
 	}
-	start := len(*arena)
-	*arena = append(*arena, s...)
-	return (*arena)[start:len(*arena):len(*arena)]
+	in.classifiers = make([]Classifier, len(order))
+	for i, p := range order {
+		n := enum[p]
+		rank[n] = int32(i)
+		s := seen.Set(int(n))
+		_, h := in.index.Find(s)
+		in.index.Add(s, h)
+		in.classifiers[i] = Classifier{Props: in.index.Set(i), Cost: cost[n]}
+	}
+	for _, j := range outside {
+		s := b.priced.Set(j)
+		_, h := in.index.Find(s)
+		in.index.Add(s, h)
+		in.outside = append(in.outside, b.prices[j])
+	}
+	for i, n := range in.subsets {
+		in.subsets[i] = rank[n]
+	}
+	return in, nil
 }
 
 // MustInstance is Instance, panicking on error. Intended for tests and

@@ -540,7 +540,7 @@ func randomReferenceBuilder(rng *rand.Rand, u *propset.Universe) *Builder {
 
 // sameInstance fails unless got and want describe the same instance
 // down to classifier order, subset tables and every lookup.
-func sameInstance(t *testing.T, trial int, got, want *Instance) {
+func sameInstance(t *testing.T, trial int, got *Instance, want *reference) {
 	t.Helper()
 	if got.universe != want.universe || math.Float64bits(got.budget) != math.Float64bits(want.budget) || got.maxLen != want.maxLen {
 		t.Fatalf("trial %d: universe, budget or l differ", trial)
@@ -651,5 +651,34 @@ func TestPackedOrderTies(t *testing.T) {
 	sameInstance(t, 0, got, want)
 	if got.Fingerprint() != referenceFingerprint(got) || got.Fingerprint2() != referenceFingerprint2(got) {
 		t.Fatal("fingerprints differ from the reference")
+	}
+}
+
+// An instance owns the prices it answers with: prices set on its
+// builder afterwards, for classifiers and for sets no query contains,
+// leave it as it was.
+func TestInstanceKeepsItsPrices(t *testing.T) {
+	b := NewBuilder()
+	b.AddQuery(1, "a", "b")
+	b.SetCost(2, "a")
+	b.SetCost(3, "z") // no query contains z
+	in := b.MustInstance(10)
+	b.SetCost(7, "a").SetCost(9, "z").SetCost(4, "b").SetCost(5, "a", "z")
+	u := in.Universe()
+	for _, c := range []struct {
+		props []string
+		want  float64
+	}{
+		{[]string{"a"}, 2},
+		{[]string{"z"}, 3},
+		{[]string{"b"}, 1},
+		{[]string{"a", "z"}, math.Inf(1)},
+	} {
+		if got := in.Cost(u.SetOf(c.props...)); got != c.want {
+			t.Errorf("Cost(%v) = %v after later SetCost calls, want %v", c.props, got, c.want)
+		}
+	}
+	if i, ok := in.ClassifierIndex(u.SetOf("a")); !ok || in.Classifiers()[i].Cost != 2 {
+		t.Errorf("classifier {a} = %v, want cost 2", in.Classifiers())
 	}
 }

@@ -19,23 +19,55 @@ import (
 // ones replaced. They allocate a key per subset and a canonical string
 // per row, and stay here only as oracles for the property tests.
 
+// reference is referenceInstance's answer: the instance, and the
+// string-keyed lookups that the set index replaced.
+type reference struct {
+	*Instance
+	costs map[string]float64 // the builder's explicit prices
+	byKey map[string]int     // classifier key -> index into classifiers
+}
+
+// ClassifierIndex looks props up by its key.
+func (r *reference) ClassifierIndex(props propset.Set) (int, bool) {
+	i, ok := r.byKey[props.Key()]
+	return i, ok
+}
+
+// Cost answers with an explicit price first, then the classifier's.
+func (r *reference) Cost(props propset.Set) float64 {
+	key := props.Key()
+	if c, ok := r.costs[key]; ok {
+		return c
+	}
+	if i, ok := r.byKey[key]; ok {
+		return r.classifiers[i].Cost
+	}
+	return math.Inf(1)
+}
+
 // referenceInstance enumerates CL with an allocated Pick and Key per
 // subset.
-func referenceInstance(b *Builder, budget float64) (*Instance, error) {
+func referenceInstance(b *Builder, budget float64) (*reference, error) {
 	if budget < 0 || math.IsNaN(budget) {
 		return nil, fmt.Errorf("model: invalid budget %v", budget)
 	}
-	if len(b.order) == 0 {
+	queries := make([]propset.Set, b.queries.Len())
+	for i := range queries {
+		queries[i] = b.queries.Set(i)
+	}
+	if len(queries) == 0 {
 		return nil, errors.New("model: instance has no queries")
 	}
-	in := &Instance{
-		universe:    b.universe,
-		budget:      budget,
-		costs:       b.costs,
-		defaultCost: b.defCost,
+	costs := make(map[string]float64, b.priced.Len())
+	for j := range b.priced.Len() {
+		costs[b.priced.Set(j).Key()] = b.prices[j]
 	}
-	in.queries = make([]Query, 0, len(b.order))
-	for i, s := range b.order {
+	in := &Instance{
+		universe: b.universe,
+		budget:   budget,
+	}
+	in.queries = make([]Query, 0, len(queries))
+	for i, s := range queries {
 		u := b.utilities[i]
 		if u < 0 || math.IsNaN(u) {
 			return nil, fmt.Errorf("model: invalid utility %v for query %v", u, s)
@@ -60,7 +92,7 @@ func referenceInstance(b *Builder, budget float64) (*Instance, error) {
 			p, ok := pos[k]
 			if !ok {
 				p = -1
-				cost, priced := b.costs[k]
+				cost, priced := costs[k]
 				if !priced {
 					if b.defCost != nil {
 						cost = b.defCost(sub)
@@ -112,8 +144,7 @@ func referenceInstance(b *Builder, budget float64) (*Instance, error) {
 			pos[k] = int(rank[p])
 		}
 	}
-	in.byKey = pos
-	return in, nil
+	return &reference{Instance: in, costs: costs, byKey: pos}, nil
 }
 
 // referenceCanon renders a property set as its length-prefixed,

@@ -196,17 +196,11 @@ func (s Set) Key() string {
 		return ""
 	}
 	var buf [32]byte
-	return string(s.AppendKey(buf[:0]))
-}
-
-// AppendKey appends the bytes of s.Key() to dst, so a caller with a
-// reused buffer can look a set up in a Key-keyed map (m[string(b)])
-// without allocating.
-func (s Set) AppendKey(dst []byte) []byte {
+	key := buf[:0]
 	for _, id := range s {
-		dst = append(dst, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
+		key = append(key, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 	}
-	return dst
+	return string(key)
 }
 
 // Clone returns an independent copy of the set.

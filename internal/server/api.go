@@ -44,14 +44,15 @@ func errorf(code int, format string, args ...any) *Error {
 // response (api.WarmSource*; empty for cold and checkpoint-resumed
 // runs). A warm run the registry answered with the IG1 plan counts as
 // a floor fallback. prepareSolve already validated the algo name, so
-// the registry lookup here cannot miss.
-func (s *Server) runSolve(ctx context.Context, in *bcc.Instance, algoName string, req *SolveRequest, fp string, warm []bcc.PropSet, warmSource string) *SolveResponse {
+// the registry lookup here cannot miss. fp and fp2 are the instance's
+// Fingerprint and Fingerprint2.
+func (s *Server) runSolve(ctx context.Context, in *bcc.Instance, algoName string, req *SolveRequest, fp, fp2 string, warm []bcc.PropSet, warmSource string) *SolveResponse {
 	start := time.Now()
 	resp := &SolveResponse{
 		Fingerprint: fp,
 		// The near-miss hash rides on every response (and thus into the
 		// cache and its snapshots), powering the sibling warm-start index.
-		Fingerprint2: in.Fingerprint2(),
+		Fingerprint2: fp2,
 		Algo:         algoName,
 		Budget:       in.Budget(),
 		Queries:      in.NumQueries(),

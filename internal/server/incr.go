@@ -39,11 +39,11 @@ func siblingTag(v any) string {
 }
 
 // warmFor picks the warm seed for one solve: the request's own repaired
-// WarmPlan first, then a near-miss cache sibling. key is the request's
-// exact cache key (excluded from sibling candidates). Returns a nil
-// seed for cold solves and for algorithms without the WarmStart
-// capability.
-func (s *Server) warmFor(in *bcc.Instance, served string, req *SolveRequest, key string) ([]bcc.PropSet, string) {
+// WarmPlan first, then a near-miss cache sibling found by fp2, the
+// instance's Fingerprint2. key is the request's exact cache key
+// (excluded from sibling candidates). Returns a nil seed for cold solves
+// and for algorithms without the WarmStart capability.
+func (s *Server) warmFor(in *bcc.Instance, fp2, served string, req *SolveRequest, key string) ([]bcc.PropSet, string) {
 	d, _ := algo.Lookup(served)
 	if !d.WarmStart {
 		return nil, ""
@@ -58,7 +58,7 @@ func (s *Server) warmFor(in *bcc.Instance, served string, req *SolveRequest, key
 	if req.NoCache {
 		return nil, ""
 	}
-	_, v, ok := s.cache.Sibling(api.SiblingTag(in.Fingerprint2(), served), key)
+	_, v, ok := s.cache.Sibling(api.SiblingTag(fp2, served), key)
 	if !ok {
 		return nil, ""
 	}
@@ -80,15 +80,17 @@ func (s *Server) warmFor(in *bcc.Instance, served string, req *SolveRequest, key
 
 // runWarmSolve is runSolve plus the incremental machinery: warm-seed
 // selection and the warm-vs-cold latency histogram. It is the only
-// solve entry of the synchronous path.
+// solve entry of the synchronous path. It hashes the instance's
+// Fingerprint2 once, for both the sibling lookup and the response.
 func (s *Server) runWarmSolve(ctx context.Context, in *bcc.Instance, served string, req *SolveRequest, fp, key string) *SolveResponse {
-	warm, source := s.warmFor(in, served, req, key)
+	fp2 := in.Fingerprint2()
+	warm, source := s.warmFor(in, fp2, served, req, key)
 	mode := "cold"
 	if warm != nil {
 		mode = "warm"
 	}
 	t0 := time.Now()
-	resp := s.runSolve(ctx, in, served, req, fp, warm, source)
+	resp := s.runSolve(ctx, in, served, req, fp, fp2, warm, source)
 	s.reg.Histogram("bcc_incr_solve_seconds",
 		"Solver execution time split by warm-started vs cold runs.",
 		obs.Labels{"mode": mode}, solveBuckets).Observe(time.Since(t0).Seconds())

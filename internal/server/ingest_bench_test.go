@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataset"
+	"repro/internal/incr"
+	"repro/internal/propset"
 )
 
 var (
@@ -42,8 +44,9 @@ func driftBody(b *testing.B) []byte {
 }
 
 // BenchmarkIngest times each stage that turns a first-seen /v1/solve
-// body into an instance and its fingerprints; the gateway and the
-// backend each run all of them once per such body.
+// body into an instance and its fingerprints, which the gateway and the
+// backend each run once per such body, and the repair of the body's warm
+// plan, which the backend runs before a warm solve.
 //
 //	go test -run '^$' -bench Ingest -benchmem ./internal/server/
 func BenchmarkIngest(b *testing.B) {
@@ -88,6 +91,15 @@ func BenchmarkIngest(b *testing.B) {
 			benchSink = in.Fingerprint2()
 		}
 	})
+	b.Run("repair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSets = incr.Repair(in, req.WarmPlan)
+		}
+	})
 }
 
-var benchSink string
+var (
+	benchSink string
+	benchSets []propset.Set
+)

@@ -70,7 +70,7 @@ func (s *Server) jobSolve(ctx context.Context, req *api.JobRequest, cp *jobs.Che
 	s.solves.Add(1)
 	s.inflight.Add(1)
 	t0 := time.Now()
-	resp := s.runSolve(ctx, in, algo, &req.SolveRequest, fp, warm, warmSource)
+	resp := s.runSolve(ctx, in, algo, &req.SolveRequest, fp, in.Fingerprint2(), warm, warmSource)
 	s.inflight.Add(-1)
 	s.observeSolve(algo, resp.Status, time.Since(t0).Seconds())
 	if resp.Status == bcc.Complete.String() && !req.NoCache {
