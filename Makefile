@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json figures figures-full cover fmt vet clean ci serve soak-smoke fuzz-smoke cluster-smoke jobs-smoke pipeline-smoke eval-smoke load chaos
+.PHONY: build test race race-ci bench bench-smoke bench-json figures figures-full cover fmt vet clean ci serve soak-smoke fuzz-smoke cluster-smoke jobs-smoke pipeline-smoke eval-smoke load chaos
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## race-ci: the race detector over the curated list of concurrent and
+## guarded packages and the serving/resilience stack, as `make ci` and
+## .github/workflows/ci.yml run it.
+race-ci:
+	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/submod/ ./internal/eval/ ./internal/incr/ ./internal/model/
 
 ## bench: every benchmark, including one run of each paper figure.
 bench:
@@ -112,7 +118,8 @@ pipeline-smoke:
 eval-smoke:
 	$(GO) run ./cmd/bcceval
 
-## ci: what .github/workflows/ci.yml runs — build (including the server,
+## ci: what .github/workflows/ci.yml runs, whose steps call the targets
+## below rather than repeating their commands — build (including the server,
 ## gateway, load-driver and eval binaries), tests, vet, a gofmt gate, the race
 ## detector over the concurrent/guarded packages and the
 ## serving/resilience stack, the chaos soak, the cluster smoke, the
@@ -130,7 +137,7 @@ ci:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd bccperf && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race ./internal/qk/ ./internal/core/ ./internal/gmc3/ ./internal/cover/ ./internal/knapsack/ ./internal/mc3/ ./internal/wgraph/ ./internal/server/ ./internal/solvecache/ ./internal/obs/ ./internal/resilience/ ./internal/client/ ./internal/loadgen/ ./internal/cluster/ ./internal/jobs/ ./internal/durable/ ./internal/wal/ ./internal/pipeline/ ./internal/algo/ ./internal/submod/ ./internal/eval/ ./internal/incr/ ./internal/model/
+	$(MAKE) race-ci
 	$(MAKE) soak-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) jobs-smoke

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dks"
 	"repro/internal/qk"
 	"repro/internal/wgraph"
 )
@@ -52,15 +51,6 @@ func BenchmarkAblationNoGreedyFloor(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationMixedPhase(b *testing.B) {
-	in := dataset.Private(1, 1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := core.Solve(in, core.Options{Seed: 1, MixedPhase: true})
-		b.ReportMetric(res.Utility, "utility")
-	}
-}
-
 // QK-level ablations on a shared graph snapshot.
 
 func ablationQKGraph() *wgraph.Graph {
@@ -97,38 +87,11 @@ func BenchmarkAblationQKHeuristic(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationQKTheory(b *testing.B) {
-	g := ablationQKGraph()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := qk.SolveTheory(g, 300, qk.Options{Seed: 1})
-		b.ReportMetric(res.Weight, "weight")
-	}
-}
-
 func BenchmarkAblationQKGreedy(b *testing.B) {
 	g := ablationQKGraph()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := qk.SolveGreedy(g, 300)
 		b.ReportMetric(res.Weight, "weight")
-	}
-}
-
-func BenchmarkAblationDkSNoSpectral(b *testing.B) {
-	g := ablationQKGraph()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nodes := dks.Solve(g, 60, dks.Options{Seed: 1, DisableSpectral: true})
-		b.ReportMetric(g.InducedWeightOf(nodes), "weight")
-	}
-}
-
-func BenchmarkAblationDkSFull(b *testing.B) {
-	g := ablationQKGraph()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nodes := dks.Solve(g, 60, dks.Options{Seed: 1})
-		b.ReportMetric(g.InducedWeightOf(nodes), "weight")
 	}
 }

@@ -114,8 +114,8 @@ func Solve(in *Instance, opts Options) Result { return core.Solve(in, opts) }
 // SolveCtx runs A^BCC under a context. The solver is anytime: on deadline
 // expiry or cancellation it returns the best budget-feasible solution
 // found so far with Result.Status reporting why it stopped, and a short
-// remaining deadline degrades the configuration gracefully (mixed phase
-// off, fewer restarts, down to a pure greedy floor) instead of returning
+// remaining deadline degrades the configuration gracefully (fewer
+// restarts and rounds, down to a pure greedy floor) instead of returning
 // nothing. Contained panics surface as Status Recovered plus Result.Err.
 func SolveCtx(ctx context.Context, in *Instance, opts Options) Result {
 	return core.SolveCtx(ctx, in, opts)

@@ -94,7 +94,7 @@ func TestCtxEntryPointsCompleteWithBackground(t *testing.T) {
 
 // Armed panics inside the extension solvers must surface as Recovered
 // results with a usable solution, never crash the caller. (The A^BCC-path
-// points are covered in internal/core; dks.solve in internal/dks.)
+// points are covered in internal/core.)
 func TestExtensionSolversContainArmedPanics(t *testing.T) {
 	in := ctxTestInstance(t)
 	ctx := context.Background()

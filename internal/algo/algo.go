@@ -206,6 +206,21 @@ func ServableNames() []string {
 	return out
 }
 
+// CheckServable reports why a request for the algorithm called name,
+// with the given target, cannot be served: an unknown or CLI-only name,
+// or an algorithm that needs a target without a positive one. Its
+// message is the one the HTTP API answers 400 with; nil means servable.
+func CheckServable(name string, target float64) error {
+	d, ok := Lookup(name)
+	if !ok || !d.Servable {
+		return fmt.Errorf("unknown algo %q (supported: %s)", name, strings.Join(ServableNames(), ", "))
+	}
+	if d.NeedsTarget && !(target > 0) {
+		return fmt.Errorf("algo %s requires a positive target, got %v", name, target)
+	}
+	return nil
+}
+
 // Usage renders one line per registered algorithm — name, summary,
 // capability flags — for CLI usage text, so the docs cannot drift from
 // the registry.

@@ -21,9 +21,6 @@ type Options struct {
 	// Seed drives all randomness (QK bipartitions) deterministically.
 	// Default 1.
 	Seed int64
-	// Epsilon is the knapsack FPTAS precision for the BCC(1) subproblem.
-	// Default 0.05.
-	Epsilon float64
 	// MaxIterations caps the residual-problem loop (lines 4–6 of
 	// Algorithm 1). Default 16.
 	MaxIterations int
@@ -34,16 +31,6 @@ type Options struct {
 	// DisableMC3 skips the MC3 local-search improvement (line 3). Used by
 	// ablation benchmarks.
 	DisableMC3 bool
-	// LeverageKeep is the fraction of QK-graph weight the leverage-score
-	// pruning must preserve; the lowest-score nodes carrying at most
-	// (1 − LeverageKeep) of the total incident weight are dropped.
-	// Default 0.95.
-	LeverageKeep float64
-	// MixedPhase additionally evaluates split-budget candidates in every
-	// phase (knapsack-then-QK and QK-then-knapsack on half the round
-	// budget each). Slightly better on some workloads, roughly 2–4×
-	// slower; off by default.
-	MixedPhase bool
 	// DisableGreedyFloor skips the final best-of comparison against the
 	// refined IG1 greedy (used by ablation benchmarks). With the floor
 	// enabled (default), a cold A^BCC run never returns less utility
@@ -72,20 +59,25 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.05
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 16
-	}
-	if o.LeverageKeep == 0 {
-		o.LeverageKeep = 0.95
 	}
 	if o.QK.Seed == 0 {
 		o.QK.Seed = o.Seed
 	}
 	return o
 }
+
+const (
+	// epsilon is the knapsack FPTAS precision for the BCC(1) subproblem.
+	epsilon = 0.05
+	// leverageKeep is the fraction of QK-graph weight the leverage-score
+	// pruning must preserve; the lowest-score nodes carrying at most
+	// (1 − leverageKeep) of the total incident weight are dropped. It is
+	// typed so that 1 − leverageKeep rounds as a float64 subtraction at
+	// run time does.
+	leverageKeep float64 = 0.95
+)
 
 // Graceful-degradation ladder: with this little deadline budget left the
 // solver cuts optional work (degradeLight) or skips straight to the IG1
@@ -107,8 +99,7 @@ func degradeForDeadline(g *guard.Guard, opts Options) (Options, bool) {
 	if left < degradeFloor {
 		return opts, true
 	}
-	// Light rung: drop the expensive extras, keep the core pipeline.
-	opts.MixedPhase = false
+	// Light rung: fewer restarts and rounds, the same pipeline.
 	if opts.QK.Iterations == 0 || opts.QK.Iterations > 2 {
 		opts.QK.Iterations = 2
 	}
@@ -264,7 +255,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, opts Options) (res Result
 	var allowed []bool
 	if !opts.DisablePruning && !opts.warmFast {
 		t0 := rec.Start()
-		allowed, pruned = pruneClassifiers(g, t, opts)
+		allowed, pruned = pruneClassifiers(g, t)
 		rec.End(obs.StagePrune, t0, pruned)
 	}
 
@@ -391,7 +382,7 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, 
 
 	// BCC(1): knapsack over 1-covers.
 	t0 := rec.Start()
-	kres := knapsack.SolveGuard(g, sp.items, budget, opts.Epsilon)
+	kres := knapsack.SolveGuard(g, sp.items, budget, epsilon)
 	rec.End(obs.StageKnapsack, t0, len(sp.items))
 	var kadd []int32
 	for _, i := range kres.Chosen {
@@ -408,56 +399,11 @@ func phase(g *guard.Guard, rec *obs.Recorder, t *cover.Tracker, allowed []bool, 
 		qadd = sp.qkNodes(qres.Nodes)
 	}
 
-	// Mixed candidates: give one subproblem half the round budget, then
-	// let the other spend what is left on the updated residual. The
-	// pick-the-better rule of Observation 4.2 holds a fortiori, and the
-	// finer allocation captures workloads whose optimum needs both 1- and
-	// 2-covers in the same round.
-	cls := t.Instance().Classifiers()
-	mix := func(first []int32) []int32 {
-		c := t.Clone()
-		halfCeil := t.Cost() + budget/2
-		var add []int32
-		for _, ci := range first {
-			if c.Cost()+cls[ci].Cost > halfCeil+1e-9 {
-				continue
-			}
-			c.AddIndex(int(ci))
-			add = append(add, ci)
-		}
-		sp2 := buildSubproblems(g, c, allowed, phaseMaxCost(opts, ceiling-c.Cost()))
-		t0 := rec.Start()
-		k2 := knapsack.SolveGuard(g, sp2.items, ceiling-c.Cost(), opts.Epsilon)
-		rec.End(obs.StageKnapsack, t0, len(sp2.items))
-		for _, i := range k2.Chosen {
-			c.AddIndex(int(sp2.itemCls[i]))
-			add = append(add, sp2.itemCls[i])
-		}
-		if sp2.graph.NumEdges() > 0 && !g.Tripped() {
-			t0 = rec.Start()
-			q2 := qk.SolveHeuristicGuard(g, sp2.graph, ceiling-c.Cost(), opts.QK)
-			rec.End(obs.StageQK, t0, sp2.graph.NumEdges())
-			for _, probe := range sp2.qkNodes(q2.Nodes) {
-				if c.Cost()+cls[probe].Cost > ceiling+1e-9 {
-					continue
-				}
-				c.AddIndex(int(probe))
-				add = append(add, probe)
-			}
-		}
-		return add
-	}
-	var mixK, mixQ []int32
-	if opts.MixedPhase && len(kadd) > 0 && len(qadd) > 0 && !g.Tripped() {
-		mixK = mix(kadd)
-		mixQ = mix(qadd)
-	}
-
 	// Apply the best candidate by true utility gain. This still runs after
 	// a trip: the candidates already computed are feasibility-checked
 	// below, and applying one is what makes the run anytime.
 	bestGain, bestAdd := 0.0, []int32(nil)
-	for _, add := range [][]int32{kadd, qadd, mixK, mixQ} {
+	for _, add := range [][]int32{kadd, qadd} {
 		if len(add) == 0 {
 			continue
 		}

@@ -127,19 +127,19 @@ func TestLegacySolveStillPanics(t *testing.T) {
 
 func TestDegradeForDeadline(t *testing.T) {
 	bg := guard.New(context.Background())
-	opts, greedyOnly := degradeForDeadline(bg, Options{MixedPhase: true}.withDefaults())
-	if greedyOnly || !opts.MixedPhase {
+	opts, greedyOnly := degradeForDeadline(bg, Options{MaxIterations: 16}.withDefaults())
+	if greedyOnly || opts.MaxIterations != 16 {
 		t.Error("no deadline: options must be untouched")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	g := guard.New(ctx)
-	opts, greedyOnly = degradeForDeadline(g, Options{MixedPhase: true, MaxIterations: 16}.withDefaults())
+	opts, greedyOnly = degradeForDeadline(g, Options{MaxIterations: 16}.withDefaults())
 	if greedyOnly {
 		t.Error("150ms: want light rung, got greedy floor")
 	}
-	if opts.MixedPhase || opts.QK.Iterations > 2 || opts.MaxIterations > 4 {
+	if opts.QK.Iterations > 2 || opts.MaxIterations > 4 {
 		t.Errorf("150ms: options not trimmed: %+v", opts)
 	}
 

@@ -18,7 +18,7 @@ import (
 // singleton classifiers, as the paper notes. Rule R2 ranks the BCC(2)
 // QK-graph nodes by weighted leverage scores (spectral, via power
 // iteration with deflation) and drops the low-score tail carrying at most
-// a (1 − LeverageKeep) fraction of the total edge weight — a bounded
+// a (1 − leverageKeep) fraction of the total edge weight — a bounded
 // additive utility error.
 //
 // Both rules respect the budget-protection exception: a classifier is
@@ -27,7 +27,7 @@ import (
 //
 // The returned mask marks the allowed classifiers by index; the int is
 // the number of pruned candidates.
-func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) ([]bool, int) {
+func pruneClassifiers(g *guard.Guard, t *cover.Tracker) ([]bool, int) {
 	in := t.Instance()
 	cls := in.Classifiers()
 	allowed := make([]bool, len(cls))
@@ -82,7 +82,7 @@ func pruneClassifiers(g *guard.Guard, t *cover.Tracker, opts Options) ([]bool, i
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool { return scores[order[a]] < scores[order[b]] })
-		dropBudget := (1 - opts.LeverageKeep) * qg.TotalWeight()
+		dropBudget := (1 - leverageKeep) * qg.TotalWeight()
 		var droppedWeight float64
 		for _, v := range order {
 			if v == sp.vStar {

@@ -25,17 +25,13 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/propset"
+	"repro/internal/qk"
 )
 
 // Options tunes A^GMC3.
 type Options struct {
 	// Seed drives all randomness. Default 1.
 	Seed int64
-	// BinarySearchSteps is the number of outer budget-guess halvings.
-	// Default 8.
-	BinarySearchSteps int
-	// MaxInnerRounds caps the per-guess A^BCC repetitions. Default 8.
-	MaxInnerRounds int
 	// Warm seeds the run with a previously found plan — the incumbent of
 	// an earlier checkpoint (internal/jobs). It is installed as the
 	// initial best-effort result (and, when it already reaches the
@@ -43,31 +39,18 @@ type Options struct {
 	// so a warm-started run never reports less utility — or, once
 	// achieving, higher cost — than the incumbent.
 	Warm []propset.Set
-	// Core tunes the inner A^BCC solver.
-	Core core.Options
 }
+
+const (
+	// binarySearchSteps is the number of outer budget-guess halvings.
+	binarySearchSteps = 8
+	// maxInnerRounds caps the per-guess A^BCC repetitions.
+	maxInnerRounds = 8
+)
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.BinarySearchSteps == 0 {
-		o.BinarySearchSteps = 8
-	}
-	if o.MaxInnerRounds == 0 {
-		o.MaxInnerRounds = 8
-	}
-	if o.Core.Seed == 0 {
-		o.Core.Seed = o.Seed
-	}
-	// The inner A^BCC runs many times across budget guesses; cheaper
-	// per-run settings trade a little per-guess quality for a much wider
-	// search, which is the better bargain inside the binary search.
-	if o.Core.MaxIterations == 0 {
-		o.Core.MaxIterations = 6
-	}
-	if o.Core.QK.Iterations == 0 {
-		o.Core.QK.Iterations = 4
 	}
 	return o
 }
@@ -175,7 +158,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, target float64, opts Opti
 	try := func(budget float64) Result {
 		t := cover.New(in)
 		rounds := 0
-		for t.Utility() < target-1e-9 && rounds < opts.MaxInnerRounds && !g.Tripped() {
+		for t.Utility() < target-1e-9 && rounds < maxInnerRounds && !g.Tripped() {
 			guard.Inject("gmc3.residual")
 			t0 := rec.Start()
 			residual := in.NumQueries() - t.CoveredCount()
@@ -205,7 +188,7 @@ func SolveCtx(ctx context.Context, in *model.Instance, target float64, opts Opti
 	}
 	// Binary search for the cheapest successful budget guess.
 	lo, hiB := 0.0, hi
-	for step := 0; step < opts.BinarySearchSteps && !g.Tripped(); step++ {
+	for step := 0; step < binarySearchSteps && !g.Tripped(); step++ {
 		mid := (lo + hiB) / 2
 		if mid <= 0 {
 			break
@@ -303,7 +286,10 @@ func runResidualBCC(ctx context.Context, g *guard.Guard, in *model.Instance, t *
 	if err != nil {
 		return 0
 	}
-	res := core.SolveCtx(ctx, sub, opts.Core)
+	// The inner A^BCC runs many times across budget guesses; cheaper
+	// per-run settings trade a little per-guess quality for a much wider
+	// search, which is the better bargain inside the binary search.
+	res := core.SolveCtx(ctx, sub, core.Options{Seed: opts.Seed, MaxIterations: 6, QK: qk.Options{Iterations: 4}})
 	if res.Status == guard.Recovered {
 		g.NoteError(res.Err)
 	}

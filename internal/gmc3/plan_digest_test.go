@@ -3,6 +3,7 @@ package gmc3
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -58,6 +59,49 @@ func TestBaselineDigests(t *testing.T) {
 			if got := planDigest(in, run.res); got != baselineDigests[key] {
 				t.Errorf("%q: %q, // cost %v, utility %v, %d classifiers", key, got, run.res.Cost, run.res.Utility, run.res.Solution.Size())
 			}
+		}
+	}
+}
+
+// solveDigests pins A^GMC3's own plans, keyed "instance/target share":
+// the classifiers, the cost and utility bits and the count of inner
+// A^BCC runs. The instances are small enough that all four solves take
+// about a second; they still run the binary search, the inner A^BCC
+// runs on residual instances and the greedy floors.
+var solveDigests = map[string]string{
+	"psub103/0.4": "dc074ae3f9ee688d0a774c63f8b645c7c4573e8652c9bd6c5a9162fa9a450a9d", // cost 99, utility 706, 24 classifiers, 40 runs
+	"psub103/0.7": "ed681301d3ad2411ba8d235e803504ccbf1df226e366b228ab6734e1f1a78f00", // cost 219, utility 1220, 38 classifiers, 49 runs
+	"psub501/0.7": "f2a0f32762c394b7d5eff27d5ddfe4504630b5e5fcd2e0e85aa501a72b584cd0", // cost 148, utility 321, 30 classifiers, 49 runs
+	"syn1/0.4":    "a2ba54761ca1b8429b1a1d74b0ec3f9f4a219d99bcaff668e074fafca88867a9", // cost 241, utility 841, 35 classifiers, 34 runs
+}
+
+// solveDigest is planDigest plus the bits of the result's cost and
+// utility.
+func solveDigest(in *model.Instance, r Result) string {
+	h := sha256.New()
+	fmt.Fprintln(h, planDigest(in, r))
+	fmt.Fprintf(h, "cost %x utility %x\n", math.Float64bits(r.Cost), math.Float64bits(r.Utility))
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+func TestSolveDigests(t *testing.T) {
+	instances := map[string]*model.Instance{
+		"psub103": dataset.PrivateSubset(103, 0, 600),
+		"psub501": dataset.PrivateSubset(501, 0, 1000),
+		"syn1":    dataset.Synthetic(1, 80, 0),
+	}
+	for _, c := range []struct {
+		name  string
+		share float64
+	}{{"psub103", 0.4}, {"psub103", 0.7}, {"psub501", 0.7}, {"syn1", 0.4}} {
+		in := instances[c.name]
+		r := Solve(in, c.share*in.TotalUtility(), Options{Seed: 1})
+		key := fmt.Sprintf("%s/%v", c.name, c.share)
+		if !r.Achieved {
+			t.Errorf("%q: target not reached (utility %v)", key, r.Utility)
+		}
+		if got := solveDigest(in, r); got != solveDigests[key] {
+			t.Errorf("%q: %q, // cost %v, utility %v, %d classifiers, %d runs", key, got, r.Cost, r.Utility, r.Solution.Size(), r.Iterations)
 		}
 	}
 }

@@ -22,7 +22,6 @@
 //	knapsack.solve   every knapsack subproblem solve
 //	qk.restart       every QK random-bipartition restart (worker goroutine)
 //	mc3.solve        every MC3 re-cover call
-//	dks.solve        every DkS portfolio call
 //	gmc3.residual    every residual A^BCC round inside A^GMC3
 //	ecc.solve        the A^ECC entry
 //	submod.pass      every lazy-greedy pass of the submodular solver

@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/algo"
 	"repro/internal/api"
 	"repro/internal/dataset"
 	"repro/internal/durable"
@@ -108,14 +109,6 @@ type Options struct {
 	// MaxBacklogRecords sheds ingest (429) once the unconsumed backlog
 	// exceeds it (default 100000).
 	MaxBacklogRecords int64
-	// WatchdogFactor sizes the per-window job deadline as a multiple of
-	// Window (default 2). Checkpointed jobs complete with their anytime
-	// incumbent at the deadline, so the watchdog bounds staleness, not
-	// success.
-	WatchdogFactor float64
-	// WatchdogGrace is how long past the job deadline to keep waiting
-	// before cancelling a wedged job (default Window).
-	WatchdogGrace time.Duration
 	// PollInterval paces job-status polling (default 25ms).
 	PollInterval time.Duration
 	// MaxRetries bounds re-submissions of a failed window before it is
@@ -124,17 +117,12 @@ type Options struct {
 	// Backoff paces those retries (zero value = resilience defaults).
 	Backoff resilience.Backoff
 
-	// Algo/Budget/Seed/Target shape the solve request built from each
-	// window (defaults: submod, budget 10, seed 1).
+	// Algo/Budget/Seed shape the solve request built from each window
+	// (defaults: submod, budget 10, seed 1). Open rejects an Algo the
+	// server would not run without a target (algo.CheckServable).
 	Algo   string
 	Budget float64
 	Seed   int64
-	Target float64
-	// CostBase/CostPerProp synthesize classifier costs for workload
-	// queries (cost = CostBase + CostPerProp × |props|; default 0 + 1×,
-	// the unit-cost model).
-	CostBase    float64
-	CostPerProp float64
 
 	// SegmentBytes/SegmentAge/NoSync pass through to the WAL.
 	SegmentBytes int64
@@ -159,12 +147,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBacklogRecords <= 0 {
 		o.MaxBacklogRecords = 100000
 	}
-	if o.WatchdogFactor <= 0 {
-		o.WatchdogFactor = 2
-	}
-	if o.WatchdogGrace <= 0 {
-		o.WatchdogGrace = o.Window
-	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 25 * time.Millisecond
 	}
@@ -180,11 +162,14 @@ func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.CostPerProp == 0 && o.CostBase == 0 {
-		o.CostPerProp = 1
-	}
 	return o
 }
+
+// watchdogFactor sizes the per-window job deadline as a multiple of
+// Window. Checkpointed jobs complete with their anytime incumbent at the
+// deadline, so the watchdog bounds staleness, not success; await waits
+// one more Window before it cancels a wedged job.
+const watchdogFactor = 2
 
 // inflight records a window whose job has been submitted but whose
 // result has not been published: enough to adopt it after a crash —
@@ -293,6 +278,12 @@ func Open(opts Options) (*Pipeline, error) {
 	opts = opts.withDefaults()
 	if opts.Jobs == nil {
 		return nil, errors.New("pipeline: Options.Jobs is required")
+	}
+	// Windows carry no target. With an algo the server would reject,
+	// every window would be submitted, refused and abandoned after its
+	// retries, so refuse the algo here instead.
+	if err := algo.CheckServable(opts.Algo, 0); err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	w, err := wal.Open(wal.Options{
 		Dir:          opts.Dir,
@@ -720,20 +711,18 @@ func (p *Pipeline) buildRequest(recs []wal.Record) (*api.JobRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.SetDefaultCost(func(s propset.Set) float64 {
-		return p.opts.CostBase + p.opts.CostPerProp*float64(s.Len())
-	})
+	// The unit-cost model: a classifier costs one per property.
+	b.SetDefaultCost(func(s propset.Set) float64 { return float64(s.Len()) })
 	in, err := b.Instance(p.opts.Budget)
 	if err != nil {
 		return nil, err
 	}
-	watchdog := time.Duration(p.opts.WatchdogFactor * float64(p.opts.Window))
+	watchdog := watchdogFactor * p.opts.Window
 	return &api.JobRequest{
 		SolveRequest: api.SolveRequest{
 			Instance:    dataset.ToFormat(in),
 			Algo:        p.opts.Algo,
 			Seed:        p.opts.Seed,
-			Target:      p.opts.Target,
 			IncludePlan: true,
 			// Warm chaining: consecutive windows of one workload overlap
 			// heavily, so the last published plan seeds this window's
@@ -887,7 +876,7 @@ func (p *Pipeline) setInflight(meta windowMeta, jobID string) {
 // expires, so the watchdog (deadline + grace) only fires for a wedged
 // job — which is cancelled and reported as a failure.
 func (p *Pipeline) await(jobID string) (*api.SolveResponse, error) {
-	watchdog := time.Duration(p.opts.WatchdogFactor*float64(p.opts.Window)) + p.opts.WatchdogGrace
+	watchdog := watchdogFactor*p.opts.Window + p.opts.Window
 	deadline := time.Now().Add(watchdog)
 	for {
 		st, err := p.opts.Jobs.Status(jobID)

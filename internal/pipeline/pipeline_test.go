@@ -184,6 +184,34 @@ func TestPipelineSolvesWindowAndPublishes(t *testing.T) {
 	}
 }
 
+// An algo no window can run (unknown, CLI-only, or needing a target that
+// windows do not carry) is refused at Open with the registry's message,
+// instead of every window being submitted, refused and abandoned.
+func TestOpenRejectsAlgoWindowsCannotRun(t *testing.T) {
+	for name, want := range map[string]string{
+		"nosuch": `pipeline: unknown algo "nosuch" (supported: `,
+		"brute":  `pipeline: unknown algo "brute" (supported: `,
+		"gmc3":   "pipeline: algo gmc3 requires a positive target, got 0",
+	} {
+		opts := testOptions(t.TempDir(), newFakeJobs())
+		opts.Algo = name
+		p, err := Open(opts)
+		if err == nil {
+			p.Close()
+			t.Errorf("Open with algo %q succeeded, want an error", name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("Open with algo %q: %v, want %q…", name, err, want)
+		}
+	}
+	for _, name := range []string{"", "abcc", "ig1"} {
+		opts := testOptions(t.TempDir(), newFakeJobs())
+		opts.Algo = name
+		openT(t, opts)
+	}
+}
+
 func TestPipelineIngestValidation(t *testing.T) {
 	jobs := newFakeJobs()
 	p := openT(t, testOptions(t.TempDir(), jobs))

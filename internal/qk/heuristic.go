@@ -14,8 +14,7 @@ import (
 )
 
 // Options tunes SolveHeuristic. The zero value gives the defaults from the
-// paper's description: ⌈log₂ n⌉ random bipartition iterations, budget-scaled
-// integer costs, and a bounded expensive-node enumeration.
+// paper's description: ⌈log₂ n⌉ + 1 random bipartition iterations.
 type Options struct {
 	// Iterations is the number of random bipartition rounds (paper: log n,
 	// each running the whole pipeline, best solution kept). Default
@@ -23,23 +22,26 @@ type Options struct {
 	Iterations int
 	// Seed drives all randomness deterministically. Default 1.
 	Seed int64
-	// MaxScaledBudget bounds the integerized budget B′ (and thus the
-	// number of unit copies per node, ≤ B′/2). Default 1024.
-	MaxScaledBudget int
-	// MaxTotalCopies bounds Σ c′(v); the cost grid is coarsened until the
-	// bound holds. Default 200000.
-	MaxTotalCopies int
-	// ExpensiveCap bounds how many expensive nodes (cost ≥ B/2) are
-	// enumerated individually and in pairs. Default 40.
-	ExpensiveCap int
-	// LocalSearchRounds caps unit-move improvement sweeps per iteration.
-	// Default 4.
-	LocalSearchRounds int
 	// Trace records per-restart-batch spans (obs.StageQKRestart). nil
 	// disables tracing at the cost of one branch per restart; core's
 	// SolveCtx sets it from the context recorder.
 	Trace *obs.Recorder
 }
+
+// Fixed sizes of the A_H^QK pipeline.
+const (
+	// maxScaledBudget bounds the integerized budget B′ (and thus the
+	// number of unit copies per node, ≤ B′/2).
+	maxScaledBudget = 1024
+	// maxTotalCopies bounds Σ c′(v); the cost grid is coarsened until the
+	// bound holds.
+	maxTotalCopies = 200000
+	// expensiveCap bounds how many expensive nodes (cost ≥ B/2) are
+	// enumerated individually and in pairs.
+	expensiveCap = 40
+	// localSearchRounds caps unit-move improvement sweeps per iteration.
+	localSearchRounds = 4
+)
 
 func (o Options) withDefaults(n int) Options {
 	if o.Iterations == 0 {
@@ -47,18 +49,6 @@ func (o Options) withDefaults(n int) Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxScaledBudget == 0 {
-		o.MaxScaledBudget = 1024
-	}
-	if o.MaxTotalCopies == 0 {
-		o.MaxTotalCopies = 200000
-	}
-	if o.ExpensiveCap == 0 {
-		o.ExpensiveCap = 40
-	}
-	if o.LocalSearchRounds == 0 {
-		o.LocalSearchRounds = 4
 	}
 	return o
 }
@@ -143,8 +133,8 @@ func SolveHeuristicGuard(gu *guard.Guard, g *wgraph.Graph, budget float64, opts 
 	sort.Slice(expensive, func(i, j int) bool {
 		return g.WeightedDegree(expensive[i]) > g.WeightedDegree(expensive[j])
 	})
-	if len(expensive) > opts.ExpensiveCap {
-		expensive = expensive[:opts.ExpensiveCap]
+	if len(expensive) > expensiveCap {
+		expensive = expensive[:expensiveCap]
 	}
 	isExpensive := reset(&s.isExpensive, n)
 	for v := 0; v < n; v++ {
@@ -250,9 +240,9 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, s *solveScratch, budget, fullBu
 	}
 
 	// Integerize costs: c′(v) = max(1, ⌈c(v)·f⌉) with f chosen so that
-	// B′ ≤ MaxScaledBudget and Σ c′ ≤ MaxTotalCopies.
+	// B′ ≤ maxScaledBudget and Σ c′ ≤ maxTotalCopies.
 	f := 1.0
-	integral := budget == math.Trunc(budget) && budget <= float64(opts.MaxScaledBudget)
+	integral := budget == math.Trunc(budget) && budget <= maxScaledBudget
 	if integral {
 		for v := 0; v < n; v++ {
 			if active[v] && g.Cost(v) != math.Trunc(g.Cost(v)) {
@@ -262,7 +252,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, s *solveScratch, budget, fullBu
 		}
 	}
 	if !integral {
-		f = float64(opts.MaxScaledBudget) / budget
+		f = maxScaledBudget / budget
 	}
 	cint := reset(&s.cint, n)
 	for {
@@ -277,7 +267,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, s *solveScratch, budget, fullBu
 			}
 			total += cint[v]
 		}
-		if total <= opts.MaxTotalCopies || f <= 1e-9 {
+		if total <= maxTotalCopies || f <= 1e-9 {
 			break
 		}
 		f /= 2
@@ -341,7 +331,7 @@ func coreSolve(gu *guard.Guard, g *wgraph.Graph, s *solveScratch, budget, fullBu
 			st := cc.state(s.sides[iter])
 			k := intBudget / 2
 			st.greedyFill(gu, k)
-			st.localSearch(gu, opts.LocalSearchRounds)
+			st.localSearch(gu, localSearchRounds)
 			st.refill(true)  // L side, by per-copy degree desc
 			st.refill(false) // R side
 			cands := st.finalize(intBudget)
@@ -387,13 +377,6 @@ type countCase struct {
 	c      []int // copies per node
 	bonus  []float64
 	order  []candidate
-}
-
-// newCountCase builds a case on fresh storage (see build).
-func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *countCase {
-	cc := new(countCase)
-	cc.build(g, active, c, bonus, new([]candidate))
-	return cc
 }
 
 // build makes cc the case of the given active nodes, copy counts and
@@ -445,8 +428,8 @@ type countState struct {
 	s    []int  // selected copies
 	// sel lists, once each, the nodes that have held copies since the
 	// last refill (held marks them), so that no kernel scans every node
-	// for the few that hold copies. A state from newCountState may have
-	// s set directly until the first kernel indexes it (direct).
+	// for the few that hold copies. A state from the tests' newCountState
+	// may have s set directly until the first kernel indexes it (direct).
 	sel    []int
 	held   []bool
 	direct bool
@@ -468,15 +451,6 @@ func (cc *countCase) state(side []bool) *countState {
 	reset(&st.s, cc.g.NumNodes())
 	reset(&st.held, cc.g.NumNodes())
 	st.sel, st.direct = st.sel[:0], false
-	return st
-}
-
-// newCountState is the count state of a case of its own, for a caller
-// that runs one restart. Its copy counts may be set directly before the
-// first kernel runs on it.
-func newCountState(g *wgraph.Graph, active, side []bool, c []int, bonus []float64) *countState {
-	st := newCountCase(g, active, c, bonus).state(side)
-	st.direct = true
 	return st
 }
 

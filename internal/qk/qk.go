@@ -6,17 +6,14 @@
 // the paper): nodes are singleton classifiers, an edge {X,Y} is a query xy
 // weighted by its utility, node costs are classifier costs.
 //
-// Two solvers mirror the paper:
-//
-//   - SolveHeuristic is A_H^QK (Section 4.1): preprocessing to integer
-//     costs in [1, B/2), expensive-node enumeration, log n random
-//     bipartitions, a copy blow-up solved by an HkS heuristic (run
-//     implicitly in copy-count space for scalability), the two-phase
-//     copy-swapping procedure, and the final-selection case analysis of
-//     Theorem 4.7.
-//   - SolveTheory is A_T^QK, the modified Taylor [62] algorithm with the
-//     P1/P2/P3 procedures and the Õ(n^{1/3}) worst-case bound of
-//     Lemma 4.6; it is provided as a faithful reference implementation.
+// SolveHeuristic is the paper's A_H^QK (Section 4.1): preprocessing to
+// integer costs in [1, B/2), expensive-node enumeration, log n random
+// bipartitions, a copy blow-up solved by an HkS heuristic (run implicitly
+// in copy-count space for scalability), the two-phase copy-swapping
+// procedure, and the final-selection case analysis of Theorem 4.7. The
+// paper's theoretical A_T^QK (Lemma 4.6) is not implemented: put in
+// A^BCC in place of A_H^QK, it took 3.4× the solve time for 0.07% less
+// utility (EXPERIMENTS.md, "retired paths").
 //
 // SolveGreedy is the density-greedy baseline, and BruteForce the exhaustive
 // validator used in tests.

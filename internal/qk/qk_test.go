@@ -357,22 +357,6 @@ func TestGreedyBaselineFeasible(t *testing.T) {
 	}
 }
 
-func TestTheorySolverFeasibleAndSane(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		n := 6 + rng.Intn(10)
-		g := randomQK(rng, n, 0.4, 5)
-		budget := float64(3 + rng.Intn(12))
-		res := SolveTheory(g, budget, Options{Seed: int64(trial + 1)})
-		checkFeasible(t, g, res, budget)
-		opt := BruteForce(g, budget)
-		if opt.Weight > 0 && res.Weight < 0.3*opt.Weight {
-			t.Errorf("trial %d: theory solver %v far below optimal %v",
-				trial, res.Weight, opt.Weight)
-		}
-	}
-}
-
 func TestEmptyAndDegenerate(t *testing.T) {
 	g := wgraph.New(0)
 	res := SolveHeuristic(g, 5, Options{})

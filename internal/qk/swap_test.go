@@ -2,6 +2,7 @@ package qk
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -264,6 +265,108 @@ func TestRefillMatchesSort(t *testing.T) {
 			sortRefill(ref, left)
 			if !slices.Equal(st.s, ref.s) {
 				t.Fatalf("trial %d side %v: heap refill %v, sort refill %v", trial, left, st.s, ref.s)
+			}
+		}
+	}
+}
+
+// newCountCase builds a case on fresh storage (see build).
+func newCountCase(g *wgraph.Graph, active []bool, c []int, bonus []float64) *countCase {
+	cc := new(countCase)
+	cc.build(g, active, c, bonus, new([]candidate))
+	return cc
+}
+
+// newCountState is the count state of a case of its own, for a test
+// that runs one restart. Its copy counts may be set directly before the
+// first kernel runs on it.
+func newCountState(g *wgraph.Graph, active, side []bool, c []int, bonus []float64) *countState {
+	st := newCountCase(g, active, c, bonus).state(side)
+	st.direct = true
+	return st
+}
+
+func TestCountStateWeightConsistency(t *testing.T) {
+	// The count-space weight must equal the explicit blow-up computation.
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 50; trial++ {
+		n := 4 + rng.Intn(6)
+		g := wgraph.New(n)
+		cint := make([]int, n)
+		active := make([]bool, n)
+		side := make([]bool, n)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, float64(1+rng.Intn(4)))
+			cint[v] = 1 + rng.Intn(4)
+			active[v] = true
+			side[v] = rng.Intn(2) == 0
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.5 {
+					g.AddEdge(u, v, float64(1+rng.Intn(9)))
+				}
+			}
+		}
+		st := newCountState(g, active, side, cint, make([]float64, n))
+		for v := 0; v < n; v++ {
+			st.s[v] = rng.Intn(cint[v] + 1)
+		}
+		// Explicit: sum over cross edges of w·sU·sV/(cU·cV).
+		var want float64
+		for _, e := range g.Edges() {
+			if side[e.U] != side[e.V] {
+				want += e.W * float64(st.s[e.U]) * float64(st.s[e.V]) /
+					(float64(cint[e.U]) * float64(cint[e.V]))
+			}
+		}
+		if got := st.weight(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("trial %d: count weight %v != explicit %v", trial, got, want)
+		}
+	}
+}
+
+func TestRefillLeavesAtMostOnePartial(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n := 5 + rng.Intn(8)
+		g := wgraph.New(n)
+		cint := make([]int, n)
+		active := make([]bool, n)
+		side := make([]bool, n)
+		for v := 0; v < n; v++ {
+			g.SetCost(v, 1)
+			cint[v] = 1 + rng.Intn(5)
+			active[v] = true
+			side[v] = rng.Intn(2) == 0
+		}
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if side[u] != side[v] && rng.Float64() < 0.5 {
+					g.AddEdge(u, v, float64(1+rng.Intn(9)))
+				}
+			}
+		}
+		st := newCountState(g, active, side, cint, make([]float64, n))
+		for v := 0; v < n; v++ {
+			st.s[v] = rng.Intn(cint[v] + 1)
+		}
+		before := st.weight()
+		st.refill(true)
+		st.refill(false)
+		after := st.weight()
+		if after < before-1e-9 {
+			t.Fatalf("trial %d: refill decreased weight %v → %v", trial, before, after)
+		}
+		for _, left := range []bool{true, false} {
+			partials := 0
+			for v := 0; v < n; v++ {
+				if side[v] == left && st.s[v] > 0 && st.s[v] < cint[v] {
+					partials++
+				}
+			}
+			if partials > 1 {
+				t.Fatalf("trial %d: side %v has %d partials after refill", trial, left, partials)
 			}
 		}
 	}

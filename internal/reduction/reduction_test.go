@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dks"
 	"repro/internal/knapsack"
 	"repro/internal/model"
 	"repro/internal/propset"
@@ -90,7 +89,7 @@ func TestTheorem33Equivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dksOpt := g.InducedWeightOf(dks.BruteForce(g, k))
+		dksOpt := g.InducedWeightOf(bruteDkS(g, k))
 		if math.Abs(bccOpt.Utility-dksOpt) > 1e-9 {
 			t.Fatalf("trial %d: BCC optimum %v != DkS optimum %v (n=%d k=%d)",
 				trial, bccOpt.Utility, dksOpt, n, k)
@@ -105,6 +104,43 @@ func TestTheorem33Equivalence(t *testing.T) {
 			t.Fatalf("trial %d: round trip lost structure", trial)
 		}
 	}
+}
+
+// bruteDkS finds the exact DkS optimum by enumerating all k-subsets; use
+// only on tiny graphs (n ≤ 24). TestTheorem33Equivalence checks
+// core.BruteForce against it.
+func bruteDkS(g *wgraph.Graph, k int) []int {
+	n := g.NumNodes()
+	if n > 24 {
+		panic("bruteDkS limited to 24 nodes")
+	}
+	if k >= n {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		return all
+	}
+	var best []int
+	bestW := -1.0
+	cur := make([]int, 0, k)
+	var rec func(start int)
+	rec = func(start int) {
+		if len(cur) == k {
+			if w := g.InducedWeightOf(cur); w > bestW {
+				bestW = w
+				best = append([]int(nil), cur...)
+			}
+			return
+		}
+		for v := start; v <= n-(k-len(cur)); v++ {
+			cur = append(cur, v)
+			rec(v + 1)
+			cur = cur[:len(cur)-1]
+		}
+	}
+	rec(0)
+	return best
 }
 
 func TestDkSFromI2ValidatesRestrictions(t *testing.T) {

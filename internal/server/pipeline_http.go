@@ -32,7 +32,6 @@ func (s *Server) OpenPipeline(walDir string, logf func(format string, args ...an
 		Algo:              s.cfg.PipelineAlgo,
 		Budget:            s.cfg.PipelineBudget,
 		Seed:              s.cfg.PipelineSeed,
-		Target:            s.cfg.PipelineTarget,
 		Jobs:              &pipelineJobs{s: s},
 		Registry:          s.reg,
 		Logf:              logf,

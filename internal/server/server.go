@@ -47,7 +47,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,17 +110,15 @@ type Config struct {
 	JobMaxDeadline        time.Duration
 
 	// PipelineWindow, PipelineRetention, PipelineMaxBacklog,
-	// PipelineAlgo, PipelineBudget, PipelineSeed and PipelineTarget tune
-	// the continuous workload pipeline once OpenPipeline is called; zero
-	// values take the internal/pipeline defaults. Inert while the
-	// pipeline is disabled.
+	// PipelineAlgo, PipelineBudget and PipelineSeed tune the continuous
+	// workload pipeline once OpenPipeline is called; zero values take the
+	// internal/pipeline defaults. Inert while the pipeline is disabled.
 	PipelineWindow     time.Duration
 	PipelineRetention  time.Duration
 	PipelineMaxBacklog int64
 	PipelineAlgo       string
 	PipelineBudget     float64
 	PipelineSeed       int64
-	PipelineTarget     float64
 }
 
 func (c Config) withDefaults() Config {
@@ -341,13 +338,8 @@ func (s *Server) prepareSolve(req *SolveRequest) (*bcc.Instance, string, string,
 	if algoName == "" {
 		algoName = "abcc"
 	}
-	d, known := algo.Lookup(algoName)
-	if !known || !d.Servable {
-		return nil, "", "", errorf(http.StatusBadRequest, "unknown algo %q (supported: %s)",
-			algoName, strings.Join(algo.ServableNames(), ", "))
-	}
-	if d.NeedsTarget && !(req.Target > 0) {
-		return nil, "", "", errorf(http.StatusBadRequest, "algo %s requires a positive target, got %v", algoName, req.Target)
+	if err := algo.CheckServable(algoName, req.Target); err != nil {
+		return nil, "", "", errorf(http.StatusBadRequest, "%v", err)
 	}
 	in, err := dataset.FromFormat(req.Instance)
 	if err != nil {

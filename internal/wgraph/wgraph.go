@@ -1,8 +1,9 @@
 // Package wgraph provides the undirected weighted graph used throughout
 // the density-problem solvers: nodes carry construction costs, edges carry
-// utilities. It is the common input type for the DkS/HkS heuristics
-// (internal/dks), the Quadratic Knapsack solvers (internal/qk) and the
-// densest-subgraph solver (internal/densest).
+// utilities. It is the common input type for the Quadratic Knapsack
+// solver (internal/qk), the densest-subgraph solver (internal/densest)
+// and A^ECC (internal/ecc), and the graph side of the paper's reductions
+// (internal/reduction).
 package wgraph
 
 import (
@@ -219,17 +220,6 @@ func (g *Graph) TotalWeight() float64 {
 	return sum
 }
 
-// MaxEdgeWeight returns the maximum edge weight, or 0 on an edgeless graph.
-func (g *Graph) MaxEdgeWeight() float64 {
-	var max float64
-	for _, e := range g.edges {
-		if e.W > max {
-			max = e.W
-		}
-	}
-	return max
-}
-
 // Subgraph returns the subgraph induced by keep (nodes with keep[v] true)
 // plus the mapping old→new node index (−1 for dropped nodes) and new→old.
 // Costs are preserved; only edges with both endpoints kept survive.
@@ -271,49 +261,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return out
-}
-
-// ConnectedComponents returns the node lists of the connected components.
-func (g *Graph) ConnectedComponents() [][]int {
-	seen := make([]bool, len(g.cost))
-	var comps [][]int
-	for start := range g.cost {
-		if seen[start] {
-			continue
-		}
-		var comp []int
-		stack := []int{start}
-		seen[start] = true
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, u)
-			for _, h := range g.adj[u] {
-				if !seen[h.to] {
-					seen[h.to] = true
-					stack = append(stack, h.to)
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// IsTreeComponent reports whether the component containing the given nodes
-// (assumed to be exactly one component's nodes) is acyclic.
-func (g *Graph) IsTreeComponent(comp []int) bool {
-	in := make([]bool, len(g.cost))
-	for _, v := range comp {
-		in[v] = true
-	}
-	edges := 0
-	for _, e := range g.edges {
-		if in[e.U] && in[e.V] {
-			edges++
-		}
-	}
-	return edges == len(comp)-1
 }
 
 // Validate checks internal consistency; used by tests.

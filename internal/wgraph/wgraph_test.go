@@ -26,9 +26,6 @@ func TestBasicAccounting(t *testing.T) {
 	if g.TotalWeight() != 60 {
 		t.Fatalf("TotalWeight = %v, want 60", g.TotalWeight())
 	}
-	if g.MaxEdgeWeight() != 30 {
-		t.Fatalf("MaxEdgeWeight = %v, want 30", g.MaxEdgeWeight())
-	}
 	if got := g.TotalCost([]int{0, 2}); got != 4 {
 		t.Fatalf("TotalCost = %v, want 4", got)
 	}
@@ -111,34 +108,6 @@ func TestCloneIndependence(t *testing.T) {
 	c.AddEdge(0, 1, 1)
 	if g.Cost(0) == 99 || g.NumEdges() == c.NumEdges() {
 		t.Fatal("Clone aliases original")
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.ConnectedComponents()
-	if len(comps) != 2 {
-		t.Fatalf("components = %d, want 2", len(comps))
-	}
-	sizes := map[int]bool{len(comps[0]): true, len(comps[1]): true}
-	if !sizes[3] || !sizes[2] {
-		t.Fatalf("component sizes wrong: %v", comps)
-	}
-}
-
-func TestIsTreeComponent(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	if !g.IsTreeComponent([]int{0, 1, 2}) {
-		t.Fatal("path should be a tree")
-	}
-	g.AddEdge(0, 2, 1)
-	if g.IsTreeComponent([]int{0, 1, 2}) {
-		t.Fatal("triangle is not a tree")
 	}
 }
 
