@@ -66,9 +66,10 @@ soak-smoke:
 ## kernels against their dense oracles (FuzzQK), the exact knapsack DP
 ## against its fresh-table oracle (FuzzKnapsack), the query-log parser
 ## (FuzzParse), /v1/solve answering any body the same way twice
-## (FuzzSolveBody), the /v1/solve schema decoder against
-## encoding/json (FuzzDecodeSolveRequest), and the warm-plan repair
-## against its string-keyed oracle (FuzzRepairSets).
+## (FuzzSolveBody), /v1/solve answering a body's digest as the body's
+## repeat or with 412 (FuzzSolveDigest), the /v1/solve schema decoder
+## against encoding/json (FuzzDecodeSolveRequest), and the warm-plan
+## repair against its string-keyed oracle (FuzzRepairSets).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFromFormat -fuzztime 10s ./internal/dataset/
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/dataset/
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKnapsack -fuzztime 10s ./internal/knapsack/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/querylog/
 	$(GO) test -run '^$$' -fuzz FuzzSolveBody -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzSolveDigest -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSolveRequest -fuzztime 10s ./internal/api/
 	$(GO) test -run '^$$' -fuzz FuzzRepairSets -fuzztime 10s ./internal/incr/
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -56,5 +57,15 @@ func TestPlanDigests(t *testing.T) {
 				t.Errorf("%q: %q, // utility %v, %d classifiers", key, got, out.Utility, out.Solution.Size())
 			}
 		}
+	}
+}
+
+// The pinned plans do not depend on how many threads the solvers get:
+// TestPlanDigests' cases hash to the same pins at GOMAXPROCS 1, 2 and 4.
+func TestPlanDigestsAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), TestPlanDigests)
 	}
 }

@@ -15,6 +15,19 @@ import (
 // backend's answer bytes unchanged, which is correct because both hops
 // encode with this one WriteJSON.
 
+// BodyDigestHeader carries the lowercase hex SHA-256 of a /v1/solve
+// body in place of the body. An empty POST /v1/solve with this header
+// asks a backend for the answer to a body it answered before; the
+// gateway sends one for a byte-identical repeat before it sends the
+// body itself. The header is read only on an empty body.
+const BodyDigestHeader = "X-BCC-Body-SHA256"
+
+// StatusUnknownDigest answers a digest request whose body the backend
+// cannot answer from its repeat memo: the memo never saw the body, or
+// the canonical cache entry it points to is gone. The sender then sends
+// the body.
+const StatusUnknownDigest = http.StatusPreconditionFailed
+
 // StatusWriter captures the status code a handler writes (and whether
 // anything was written at all) so the instrumentation can label the
 // request's series with it and the panic containment knows whether a

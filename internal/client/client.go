@@ -22,6 +22,8 @@ package client
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -243,6 +245,37 @@ func (c *Client) SolveBody(ctx context.Context, body []byte, opts *CallOpts) ([]
 	c.requests.Add(1)
 	var out json.RawMessage
 	if err := c.callBody(ctx, opts, "/v1/solve", body, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SolveDigest asks for the answer to a /v1/solve body by its SHA-256
+// sum alone: an empty POST /v1/solve carrying the hex digest in
+// api.BodyDigestHeader. A backend whose repeat memo still answers the
+// body replies as SolveBody would, and its 200 bytes come back
+// unchanged; otherwise the call fails with an *HTTPError, whose status
+// is api.StatusUnknownDigest from a backend that knows the header, and
+// the caller sends the body. Retries, breaker and accounting hooks are
+// those of every other call, except that an unknown-digest answer is an
+// expected outcome and not counted in Stats.Failures.
+func (c *Client) SolveDigest(ctx context.Context, sum [sha256.Size]byte, opts *CallOpts) ([]byte, error) {
+	header := http.Header{api.BodyDigestHeader: {hex.EncodeToString(sum[:])}}
+	var out []byte
+	err := c.callMethodHeader(ctx, opts, http.MethodPost, "/v1/solve", nil, header, func(code int, _ http.Header, data []byte) error {
+		if code == api.StatusUnknownDigest {
+			return errExpected
+		}
+		if code != http.StatusOK {
+			return errors.New("expected 200")
+		}
+		if !json.Valid(data) {
+			return errors.New("answer is not valid JSON")
+		}
+		out = data
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -498,3 +498,58 @@ func TestCallEndHookSeesError(t *testing.T) {
 		t.Error("OnCallEnd saw a nil error for a failed call")
 	}
 }
+
+// SolveDigest posts an empty body carrying the hex digest, returns a
+// 200's bytes unchanged, and takes the retry discipline of every call:
+// a 412 fails at once without charging the breaker, a 503 is retried.
+func TestSolveDigest(t *testing.T) {
+	sum := [32]byte{0: 0xab, 31: 0x01}
+	want := "ab" + strings.Repeat("00", 30) + "01"
+	var codes []int
+	var mu sync.Mutex
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/solve" || r.ContentLength != 0 || r.Header.Get(api.BodyDigestHeader) != want {
+			t.Errorf("got %s %s, %d bytes, digest %q", r.Method, r.URL.Path, r.ContentLength, r.Header.Get(api.BodyDigestHeader))
+		}
+		mu.Lock()
+		code := codes[0]
+		codes = codes[1:]
+		mu.Unlock()
+		if code != http.StatusOK {
+			w.WriteHeader(code)
+			w.Write([]byte(`{"error": "unknown body digest"}`))
+			return
+		}
+		w.Write(okBody())
+	}))
+	defer srv.Close()
+	var slept []time.Duration
+	var ends []error
+	c := newClient(t, srv.URL, &slept, Config{OnCallEnd: func(_ string, _ time.Duration, err error) { ends = append(ends, err) }})
+
+	codes = []int{http.StatusServiceUnavailable, http.StatusOK}
+	raw, err := c.SolveDigest(context.Background(), sum, nil)
+	if err != nil || string(raw) != string(okBody()) || len(slept) != 1 {
+		t.Fatalf("503 then 200: %q, %v after %d sleeps; want the answer bytes after one retry", raw, err, len(slept))
+	}
+	codes = []int{api.StatusUnknownDigest}
+	_, err = c.SolveDigest(context.Background(), sum, nil)
+	var he *HTTPError
+	if !errors.As(err, &he) || he.StatusCode != api.StatusUnknownDigest || he.Msg != "unknown body digest" || len(slept) != 1 {
+		t.Fatalf("412: %v after %d sleeps, want an *HTTPError 412 and no retry", err, len(slept))
+	}
+	// The unknown digest is an expected answer, not a failed call.
+	st := c.Stats()
+	if st.Requests != 2 || st.Successes != 1 || st.Failures != 0 || st.Breaker.ConsecutiveFailures != 0 || len(ends) != 2 {
+		t.Fatalf("stats %+v, %d end hooks; want 2 calls, 1 success, no failure, an uncharged breaker and 2 hooks", st, len(ends))
+	}
+	// A backend that does not know the header answers the empty body
+	// 400: that call failed.
+	codes = []int{http.StatusBadRequest}
+	if _, err = c.SolveDigest(context.Background(), sum, nil); !errors.As(err, &he) || he.StatusCode != http.StatusBadRequest {
+		t.Fatalf("400: %v, want an *HTTPError 400", err)
+	}
+	if st := c.Stats(); st.Requests != 3 || st.Failures != 1 {
+		t.Fatalf("stats %+v after a 400; want 3 calls and 1 failure", st)
+	}
+}

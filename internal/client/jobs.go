@@ -204,6 +204,11 @@ func (c *Client) callMethod(ctx context.Context, opts *CallOpts, method, path st
 		func(code int, _ http.Header, data []byte) error { return handle(code, data) })
 }
 
+// errExpected, returned by handle for a non-2xx answer, marks that
+// answer as one the call expects: the call still fails with its
+// *HTTPError, but is not counted in Stats.Failures.
+var errExpected = errors.New("client: expected answer")
+
 // callMethodHeader is callMethod with request headers attached to every
 // attempt and response headers surfaced to handle — the conditional-GET
 // (If-None-Match / ETag) variant.
@@ -224,13 +229,16 @@ func (c *Client) callMethodHeader(ctx context.Context, opts *CallOpts, method, p
 		c.onCallStart(base)
 	}
 	start := time.Now()
+	expected := false
 	err := c.retrier.Do(ctx, func(actx context.Context) error {
+		expected = false
 		code, header, data, err := c.roundTrip(actx, method, base, path, reqHeader, body)
 		if err != nil {
 			return err
 		}
 		if herr := handle(code, header, data); herr != nil {
 			if code/100 != 2 {
+				expected = herr == errExpected
 				return newHTTPError(code, header, data)
 			}
 			return fmt.Errorf("client: decoding %d response: %w", code, herr)
@@ -241,7 +249,9 @@ func (c *Client) callMethodHeader(ctx context.Context, opts *CallOpts, method, p
 		c.onCallEnd(base, time.Since(start), err)
 	}
 	if err != nil {
-		c.failures.Add(1)
+		if !expected {
+			c.failures.Add(1)
+		}
 		if errors.Is(err, resilience.ErrOpen) {
 			c.openFast.Add(1)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -189,6 +190,10 @@ type Cluster struct {
 	noBackend      atomic.Uint64
 	peerFills      atomic.Uint64
 	peerFillMisses atomic.Uint64
+	// digestAnswers counts repeats the owner answered by digest;
+	// digestFallbacks, digest requests followed by the body itself.
+	digestAnswers   atomic.Uint64
+	digestFallbacks atomic.Uint64
 
 	// Async-job tracking (jobs.go): external job ID -> owning backend.
 	jobsMu          sync.Mutex
@@ -526,6 +531,9 @@ type RouteInfo struct {
 	// PeerFilled reports the request was warm-seeded with a cached plan
 	// fetched from the previous owner before dispatch (peerfill.go).
 	PeerFilled bool
+	// DigestFallback reports the primary was first asked for the answer
+	// by the body's digest and could not give it, so the body followed.
+	DigestFallback bool
 }
 
 // Solve routes one typed request: SolveRouted over its encoding, with
@@ -561,7 +569,11 @@ func (c *Cluster) SolveRouted(ctx context.Context, body []byte, fp string) ([]by
 
 // solveRouted is SolveRouted for a body whose decoded request and
 // instance the caller may already hold, so that peer fill does not
-// derive them again.
+// derive them again. When got carries the body's digest and peer fill
+// left the body as received, the primary is first asked for the answer
+// by that digest alone; on any failure but the caller's own deadline or
+// cancel, the body then goes down the routing loop as it would have
+// without the digest request.
 func (c *Cluster) solveRouted(ctx context.Context, body []byte, got ingested, fp string) ([]byte, RouteInfo, error) {
 	primary, secondary, affinity := c.pick(fp, nil)
 	if primary == nil {
@@ -577,6 +589,18 @@ func (c *Cluster) solveRouted(ctx context.Context, body []byte, got ingested, fp
 	if filled, ok := c.maybePeerFill(ctx, body, got, fp, primary, secondary); ok {
 		body = filled
 		route.PeerFilled = true
+	} else if got.digest != nil && primary.breaker.State() == resilience.Closed {
+		// Only while the breaker is closed, so that a half-open
+		// breaker's one probe stays the body's own call.
+		if answer, ok := c.callDigest(ctx, primary, got.digest); ok {
+			c.digestAnswers.Add(1)
+			return answer, route, nil
+		}
+		if ctx.Err() != nil {
+			return nil, route, ctx.Err()
+		}
+		route.DigestFallback = true
+		c.digestFallbacks.Add(1)
 	}
 
 	// The primary answers on the caller's goroutine; a retryable failure
@@ -622,6 +646,23 @@ func (c *Cluster) callSolve(ctx context.Context, b *backend, body []byte) ([]byt
 	answer, err := c.cl.SolveBody(ctx, body, &client.CallOpts{BaseURL: b.url})
 	c.recordOutcome(b, time.Since(start), err)
 	return answer, err
+}
+
+// callDigest asks b for the answer to the body whose SHA-256 is digest,
+// reporting whether b answered 200. Either way it counts as a request
+// dispatched to b. A success counts as one for the breaker and the
+// latency histogram; a failure charges neither the breaker nor b's
+// failure count, because the body follows on the same backend and its
+// call is charged as it would have been.
+func (c *Cluster) callDigest(ctx context.Context, b *backend, digest *[sha256.Size]byte) ([]byte, bool) {
+	b.acct.requests.Add(1)
+	start := time.Now()
+	answer, err := c.cl.SolveDigest(ctx, *digest, &client.CallOpts{BaseURL: b.url})
+	if err != nil {
+		return nil, false
+	}
+	c.recordOutcome(b, time.Since(start), nil)
+	return answer, true
 }
 
 // callBatch is callSolve for one scatter-gather shard.
@@ -813,23 +854,30 @@ type Stats struct {
 	// PeerFills / PeerFillMisses count fleet warm transfers: requests
 	// dispatched to a recently joined backend with the previous owner's
 	// cached plan attached, and fill attempts that found nothing.
-	PeerFills      uint64       `json:"peer_fills"`
-	PeerFillMisses uint64       `json:"peer_fill_misses"`
-	Jobs           JobStats     `json:"jobs"`
-	Client         client.Stats `json:"client"`
+	PeerFills      uint64 `json:"peer_fills"`
+	PeerFillMisses uint64 `json:"peer_fill_misses"`
+	// DigestAnswers counts byte-identical repeats the owner answered by
+	// the body's SHA-256 alone; DigestFallbacks counts digest requests
+	// it could not answer, after which the body itself was sent.
+	DigestAnswers   uint64       `json:"digest_answers"`
+	DigestFallbacks uint64       `json:"digest_fallbacks"`
+	Jobs            JobStats     `json:"jobs"`
+	Client          client.Stats `json:"client"`
 }
 
 // Stats captures the cluster counters and every member's status.
 func (c *Cluster) Stats() Stats {
 	st := Stats{
-		AffinityPicks:  c.affinityPicks.Load(),
-		FallbackPicks:  c.fallbackPicks.Load(),
-		Failovers:      c.failovers.Load(),
-		NoBackend:      c.noBackend.Load(),
-		PeerFills:      c.peerFills.Load(),
-		PeerFillMisses: c.peerFillMisses.Load(),
-		Jobs:           c.jobStats(),
-		Client:         c.cl.Stats(),
+		AffinityPicks:   c.affinityPicks.Load(),
+		FallbackPicks:   c.fallbackPicks.Load(),
+		Failovers:       c.failovers.Load(),
+		NoBackend:       c.noBackend.Load(),
+		PeerFills:       c.peerFills.Load(),
+		PeerFillMisses:  c.peerFillMisses.Load(),
+		DigestAnswers:   c.digestAnswers.Load(),
+		DigestFallbacks: c.digestFallbacks.Load(),
+		Jobs:            c.jobStats(),
+		Client:          c.cl.Stats(),
 	}
 	for _, b := range c.members.Load().list {
 		id, _ := b.reportedID.Load().(string)
@@ -880,6 +928,10 @@ func (c *Cluster) initMetrics() {
 		func() float64 { return float64(c.peerFills.Load()) })
 	reg.CounterFunc("bcc_incr_peer_fill_miss_total", "Peer-fill attempts that found no usable cached plan.", nil,
 		func() float64 { return float64(c.peerFillMisses.Load()) })
+	reg.CounterFunc("bcc_gate_digest_answers_total", "Repeated solve bodies the owner answered by their SHA-256 alone.", nil,
+		func() float64 { return float64(c.digestAnswers.Load()) })
+	reg.CounterFunc("bcc_gate_digest_fallbacks_total", "Digest requests the owner could not answer, followed by the body itself.", nil,
+		func() float64 { return float64(c.digestFallbacks.Load()) })
 	c.initJobMetrics()
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/dataset"
+	"repro/internal/guard"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/resilience"
@@ -56,8 +58,8 @@ type Gateway struct {
 	draining    atomic.Bool
 
 	// routes maps the SHA-256 of a /v1/solve body that validated to its
-	// routing fingerprint, so a byte-identical repeat is routed without
-	// being decoded or built into an instance.
+	// *routeEntry, so a byte-identical repeat is routed without being
+	// decoded or built into an instance.
 	routes *solvecache.Cache
 
 	// http instruments every route like the backend server's, under
@@ -69,6 +71,17 @@ type Gateway struct {
 // 32-byte digest and a 72-byte fingerprint, so a full memo takes on the
 // order of a megabyte.
 const routeMemoEntries = 4096
+
+// routeEntry is what the route memo holds for a body that validated:
+// its routing fingerprint, and whether a repeat of it may ask the owner
+// by digest first. Only a body without no_cache may, since only such a
+// body is in a backend's repeat memo, and only until a digest request
+// for it is followed by an answer the owner does not cache
+// (Gateway.handleSolve).
+type routeEntry struct {
+	fp       string
+	byDigest bool
+}
 
 // NewGateway wraps c. The gateway shares the cluster's metric registry,
 // so one /metrics scrape covers routing and HTTP serving alike.
@@ -169,9 +182,10 @@ func routeInstance(req *api.SolveRequest) (*model.Instance, *api.Error) {
 }
 
 // handleSolve forwards the body it received and relays the backend's
-// answer, neither re-encoded. Both hops write api.SolveResponse through
-// the one api.WriteJSON, so the relayed bytes are the ones a decode and
-// re-encode here would produce.
+// answer, neither re-encoded; a byte-identical repeat is first offered
+// to the owner as the body's digest alone (Cluster.solveRouted). Both
+// hops write api.SolveResponse through the one api.WriteJSON, so the
+// relayed bytes are the ones a decode and re-encode here would produce.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	body, apiErr := api.ReadBody(w, r, g.cfg.MaxBodyBytes)
@@ -191,24 +205,45 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, routeError(err))
 		return
 	}
+	if route.DigestFallback && !completeAnswer(answer) {
+		// A backend caches only complete answers, so it could not answer
+		// this body's next repeat by digest either: from now on the body
+		// goes whole, without the empty round trip first.
+		g.routes.Put(string(got.digest[:]), &routeEntry{fp: fp})
+	}
 	w.Header().Set(api.BackendHeader, route.BackendID)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(answer)
 }
 
+// completeAnswer reports whether a relayed /v1/solve answer has status
+// complete, the only status a backend caches. It decodes the answer, so
+// the gateway calls it only after a digest fallback.
+func completeAnswer(answer []byte) bool {
+	var a struct {
+		Status string `json:"status"`
+	}
+	return json.Unmarshal(answer, &a) == nil && a.Status == guard.Complete.String()
+}
+
 // routeFingerprint returns the routing fingerprint of a /v1/solve body:
-// from the route memo for a byte-identical repeat, else by decoding the
-// body and fingerprinting its instance, which it also returns for peer
-// fill to reuse. Only bodies that validate are memoized, so an invalid
-// one is answered 400 here every time.
+// from the route memo for a byte-identical repeat, with the body's
+// digest when the repeat may go by digest, else by decoding the body
+// and fingerprinting its instance, which it also returns for peer fill
+// to reuse. Only bodies that validate are memoized, so an invalid one
+// is answered 400 here every time.
 func (g *Gateway) routeFingerprint(body []byte) (string, ingested, *api.Error) {
 	// SHA-256, not a faster non-cryptographic hash: a collision would
 	// route, and on the backend answer, one body as another.
 	sum := sha256.Sum256(body)
 	digest := string(sum[:])
-	if fp, ok := g.routes.Get(digest); ok {
-		return fp.(string), ingested{}, nil
+	if v, ok := g.routes.Get(digest); ok {
+		e := v.(*routeEntry)
+		if e.byDigest {
+			return e.fp, ingested{digest: &sum}, nil
+		}
+		return e.fp, ingested{}, nil
 	}
 	req := new(api.SolveRequest)
 	if apiErr := api.DecodeBody(body, req); apiErr != nil {
@@ -219,7 +254,7 @@ func (g *Gateway) routeFingerprint(body []byte) (string, ingested, *api.Error) {
 		return "", ingested{}, apiErr
 	}
 	fp := in.Fingerprint()
-	g.routes.Put(digest, fp)
+	g.routes.Put(digest, &routeEntry{fp: fp, byDigest: !req.NoCache})
 	return fp, ingested{req: req, in: in}, nil
 }
 

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,17 +19,26 @@ import (
 	"repro/internal/server"
 )
 
-// wireLog records the /v1/solve bodies a backend received and the
-// answer bytes it wrote.
+// wireLog records the /v1/solve bodies a backend received, with their
+// api.BodyDigestHeader values, and the status codes and answer bytes it
+// wrote.
 type wireLog struct {
 	mu      sync.Mutex
 	bodies  [][]byte
+	digests []string
+	codes   []int
 	answers [][]byte
 }
 
 type teeWriter struct {
 	http.ResponseWriter
-	buf bytes.Buffer
+	code int
+	buf  bytes.Buffer
+}
+
+func (w *teeWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *teeWriter) Write(p []byte) (int, error) {
@@ -47,11 +58,14 @@ func (l *wireLog) wrap(h http.Handler) http.Handler {
 			return
 		}
 		r.Body = io.NopCloser(bytes.NewReader(body))
-		tw := &teeWriter{ResponseWriter: w}
+		digest := r.Header.Get(api.BodyDigestHeader)
+		tw := &teeWriter{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(tw, r)
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		l.bodies = append(l.bodies, body)
+		l.digests = append(l.digests, digest)
+		l.codes = append(l.codes, tw.code)
 		l.answers = append(l.answers, tw.buf.Bytes())
 	})
 }
@@ -80,7 +94,8 @@ func newGateway(t *testing.T, urls []string, cfg GatewayConfig) (*Gateway, *http
 }
 
 // The gateway forwards the bytes it received and relays the backend's
-// answer bytes, on a first solve and on a cache hit alike.
+// answer bytes, on a first solve and on a cache hit alike; the repeat
+// crosses as its SHA-256 alone.
 func TestGatewayRelaysBodyAndAnswerBytes(t *testing.T) {
 	srv := server.New(server.Config{BackendID: "wire"})
 	var log wireLog
@@ -97,16 +112,20 @@ func TestGatewayRelaysBodyAndAnswerBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sum := sha256.Sum256(body)
 	for i := 0; i < 2; i++ {
 		resp, answer := postBody(t, gts.URL, body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("send %d: HTTP %d: %s", i, resp.StatusCode, answer)
 		}
 		log.mu.Lock()
-		got, sent := log.bodies[i], log.answers[i]
+		got, digest, sent := log.bodies[i], log.digests[i], log.answers[i]
 		log.mu.Unlock()
-		if !bytes.Equal(got, body) {
-			t.Fatalf("send %d: backend received %d bytes that differ from the %d sent", i, len(got), len(body))
+		switch {
+		case i == 0 && (!bytes.Equal(got, body) || digest != ""):
+			t.Fatalf("send %d: backend received %d bytes and digest %q, want the %d sent and no digest", i, len(got), digest, len(body))
+		case i == 1 && (len(got) != 0 || digest != hex.EncodeToString(sum[:])):
+			t.Fatalf("send %d: backend received %d bytes and digest %q, want the body's digest alone", i, len(got), digest)
 		}
 		if !bytes.Equal(answer, sent) {
 			t.Fatalf("send %d: gateway answered\n%s\nbackend wrote\n%s", i, answer, sent)

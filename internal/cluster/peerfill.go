@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"time"
 
@@ -31,9 +32,13 @@ import (
 // ingested is what routing derived from a /v1/solve body: the decoded
 // request and its instance, budget override applied. Both are nil when
 // the route came without decoding, as for a byte-identical repeat.
+// digest is set only for such a repeat of a body without no_cache: it
+// is the body's SHA-256, which the owner may be asked to answer by
+// before the body itself is sent (Cluster.solveRouted).
 type ingested struct {
-	req *api.SolveRequest
-	in  *model.Instance
+	req    *api.SolveRequest
+	in     *model.Instance
+	digest *[sha256.Size]byte
 }
 
 // maybePeerFill returns body re-encoded with a WarmPlan attached, and

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -102,6 +103,23 @@ func TestSolveDigests(t *testing.T) {
 		}
 		if got := solveDigest(in, r); got != solveDigests[key] {
 			t.Errorf("%q: %q, // cost %v, utility %v, %d classifiers, %d runs", key, got, r.Cost, r.Utility, r.Solution.Size(), r.Iterations)
+		}
+	}
+}
+
+// A^GMC3's plans on PrivateSubset(103, 0, 600) hash to TestSolveDigests'
+// pins at GOMAXPROCS 1, 2 and 4.
+func TestSolveDigestsAcrossGOMAXPROCS(t *testing.T) {
+	in := dataset.PrivateSubset(103, 0, 600)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, share := range []float64{0.4, 0.7} {
+			r := Solve(in, share*in.TotalUtility(), Options{Seed: 1})
+			key := fmt.Sprintf("psub103/%v", share)
+			if got := solveDigest(in, r); got != solveDigests[key] {
+				t.Errorf("GOMAXPROCS=%d %q: %q, want the pin %q", procs, key, got, solveDigests[key])
+			}
 		}
 	}
 }

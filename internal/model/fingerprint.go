@@ -44,14 +44,33 @@ const fingerprintVersion = "bccfp/1"
 // its property names in byte order, each length-prefixed the same way.
 func (in *Instance) Fingerprint() string {
 	c := in.canon()
+	return in.fingerprint(c, in.queryRows(c))
+}
+
+// Fingerprints returns Fingerprint and Fingerprint2 of the instance
+// from one ranking of its names and one sort of its query rows, which
+// both hash.
+func (in *Instance) Fingerprints() (fp, fp2 string) {
+	c := in.canon()
+	q := in.queryRows(c)
+	return in.fingerprint(c, q), fingerprint2(c, q)
+}
+
+// fingerprint hashes Fingerprint's stream, given the instance's ranking
+// and its query rows.
+func (in *Instance) fingerprint(c *canonical, q canonRows) string {
 	w := newHashWriter()
 	w.str(fingerprintVersion)
 	w.float(in.budget)
-	q := c.rows(len(in.queries), func(i int) propset.Set { return in.queries[i].Props })
 	w.rows(c, "Q", q, func(i int) float64 { return in.queries[i].Utility })
 	cl := c.rows(len(in.classifiers), func(i int) propset.Set { return in.classifiers[i].Props })
 	w.rows(c, "C", cl, func(i int) float64 { return in.classifiers[i].Cost })
 	return w.sum()
+}
+
+// queryRows is the instance's query section in canonical form and order.
+func (in *Instance) queryRows(c *canonical) canonRows {
+	return c.rows(len(in.queries), func(i int) propset.Set { return in.queries[i].Props })
 }
 
 // canonical ranks the properties an instance uses so that canonical

@@ -1,7 +1,5 @@
 package model
 
-import "repro/internal/propset"
-
 // fingerprint2Version tags the canonical encoding hashed by Fingerprint2.
 // Bump it whenever the encoding changes so old sibling-index entries
 // cannot be mistaken for current ones.
@@ -27,9 +25,14 @@ const fingerprint2Version = "bccfp2/1"
 // values.
 func (in *Instance) Fingerprint2() string {
 	c := in.canon()
+	return fingerprint2(c, in.queryRows(c))
+}
+
+// fingerprint2 hashes Fingerprint2's stream, given an instance's ranking
+// and its query rows.
+func fingerprint2(c *canonical, q canonRows) string {
 	w := newHashWriter()
 	w.str(fingerprint2Version)
-	q := c.rows(len(in.queries), func(i int) propset.Set { return in.queries[i].Props })
 	w.rows(c, "Q", q, nil)
 	return w.sum()
 }

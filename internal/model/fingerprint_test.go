@@ -217,3 +217,23 @@ func TestFingerprintsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// Fingerprints, one ranking and one query sort for both hashes, returns
+// what the two references hash.
+func TestFingerprintsOnePassMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 400; trial++ {
+		b := randomTrickyBuilder(rng, trial%3 == 0)
+		in, err := b.Instance(float64(rng.Intn(40)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, fp2 := in.Fingerprints()
+		if want := referenceFingerprint(in); fp != want {
+			t.Fatalf("trial %d: Fingerprints' bccfp/1 = %s, reference %s", trial, fp, want)
+		}
+		if want := referenceFingerprint2(in); fp2 != want {
+			t.Fatalf("trial %d: Fingerprints' bccfp2/1 = %s, reference %s", trial, fp2, want)
+		}
+	}
+}

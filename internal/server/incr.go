@@ -80,10 +80,9 @@ func (s *Server) warmFor(in *bcc.Instance, fp2, served string, req *SolveRequest
 
 // runWarmSolve is runSolve plus the incremental machinery: warm-seed
 // selection and the warm-vs-cold latency histogram. It is the only
-// solve entry of the synchronous path. It hashes the instance's
-// Fingerprint2 once, for both the sibling lookup and the response.
-func (s *Server) runWarmSolve(ctx context.Context, in *bcc.Instance, served string, req *SolveRequest, fp, key string) *SolveResponse {
-	fp2 := in.Fingerprint2()
+// solve entry of the synchronous path. fp2, the instance's Fingerprint2,
+// serves both the sibling lookup and the response.
+func (s *Server) runWarmSolve(ctx context.Context, in *bcc.Instance, served string, req *SolveRequest, fp, fp2, key string) *SolveResponse {
 	warm, source := s.warmFor(in, fp2, served, req, key)
 	mode := "cold"
 	if warm != nil {

@@ -46,7 +46,8 @@ func driftBody(b *testing.B) []byte {
 // BenchmarkIngest times each stage that turns a first-seen /v1/solve
 // body into an instance and its fingerprints, which the gateway and the
 // backend each run once per such body, and the repair of the body's warm
-// plan, which the backend runs before a warm solve.
+// plan, which the backend runs before a warm solve. fingerprints times
+// both hashes from the one pass the backend makes for them.
 //
 //	go test -run '^$' -bench Ingest -benchmem ./internal/server/
 func BenchmarkIngest(b *testing.B) {
@@ -91,6 +92,12 @@ func BenchmarkIngest(b *testing.B) {
 			benchSink = in.Fingerprint2()
 		}
 	})
+	b.Run("fingerprints", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink, benchSink2 = in.Fingerprints()
+		}
+	})
 	b.Run("repair", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -100,6 +107,6 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 var (
-	benchSink string
-	benchSets []propset.Set
+	benchSink, benchSink2 string
+	benchSets             []propset.Set
 )

@@ -50,12 +50,13 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // path, so a job accepts exactly the inputs /v1/solve accepts, and a
 // completed full solve feeds the same solution cache.
 func (s *Server) jobSolve(ctx context.Context, req *api.JobRequest, cp *jobs.Checkpoint) (*api.SolveResponse, error) {
-	in, algo, fp, apiErr := s.prepareSolve(&req.SolveRequest)
+	in, algo, apiErr := s.prepareSolve(&req.SolveRequest)
 	if apiErr != nil {
 		// Validation failures are permanent: fail the job with the
 		// reason rather than retrying a request that can never parse.
 		return nil, errors.New(apiErr.Msg)
 	}
+	fp, fp2 := in.Fingerprints()
 	// A checkpoint (this job's own earlier progress) always wins; the
 	// request's WarmPlan only seeds the first slice, after which the
 	// checkpoint supersedes it.
@@ -70,7 +71,7 @@ func (s *Server) jobSolve(ctx context.Context, req *api.JobRequest, cp *jobs.Che
 	s.solves.Add(1)
 	s.inflight.Add(1)
 	t0 := time.Now()
-	resp := s.runSolve(ctx, in, algo, &req.SolveRequest, fp, in.Fingerprint2(), warm, warmSource)
+	resp := s.runSolve(ctx, in, algo, &req.SolveRequest, fp, fp2, warm, warmSource)
 	s.inflight.Add(-1)
 	s.observeSolve(algo, resp.Status, time.Since(t0).Seconds())
 	if resp.Status == bcc.Complete.String() && !req.NoCache {
@@ -128,13 +129,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate at submission so the caller learns about a bad request
 	// now, with a 400 — not later as a failed job.
-	_, algo, fp, apiErr := s.prepareSolve(&req.SolveRequest)
+	in, algo, apiErr := s.prepareSolve(&req.SolveRequest)
 	if apiErr != nil {
 		s.badRequests.Add(1)
 		api.WriteError(w, apiErr)
 		return
 	}
-	st, err := s.jobs.Submit(&req, algo, fp)
+	st, err := s.jobs.Submit(&req, algo, in.Fingerprint())
 	if err != nil {
 		api.WriteError(w, jobs.ErrHTTP(err))
 		return

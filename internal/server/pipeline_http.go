@@ -53,11 +53,11 @@ func (s *Server) Pipeline() *pipeline.Pipeline { return s.pipe }
 type pipelineJobs struct{ s *Server }
 
 func (a *pipelineJobs) Submit(req *api.JobRequest) (*api.JobStatus, error) {
-	_, algo, fp, apiErr := a.s.prepareSolve(&req.SolveRequest)
+	in, algo, apiErr := a.s.prepareSolve(&req.SolveRequest)
 	if apiErr != nil {
 		return nil, errors.New(apiErr.Msg)
 	}
-	return a.s.jobs.Submit(req, algo, fp)
+	return a.s.jobs.Submit(req, algo, in.Fingerprint())
 }
 
 func (a *pipelineJobs) Status(id string) (*api.JobStatus, error) { return a.s.jobs.Get(id) }

@@ -9,7 +9,7 @@
 //
 //	read body → SHA-256 → repeat memo hit? → canonical cache lookup → respond
 //	otherwise: decode (api.DecodeBody) → build and validate
-//	(dataset.FromFormat) → Fingerprint → cache lookup → single-flight
+//	(dataset.FromFormat) → Fingerprints → cache lookup → single-flight
 //	join or pool admission → SolveCtx under the request deadline →
 //	respond (HTTP 200 even on deadline, carrying the anytime result with
 //	status=deadline) → cache Complete results → memoize the body digest
@@ -17,7 +17,11 @@
 // The repeat memo maps a body's digest to the parts of its canonical
 // cache key, never to an answer, so a byte-identical repeat skips the
 // decode, the instance build and the fingerprint while the canonical
-// cache stays the only store of answers. A body seen for the first time
+// cache stays the only store of answers. An empty body whose
+// api.BodyDigestHeader names a digest is answered from the memo the same
+// way, or with api.StatusUnknownDigest (412) when the memo cannot answer
+// it: that is how the gateway forwards a repeat without its bytes
+// (DESIGN.md §9 "The repeat path"). A body seen for the first time
 // takes the ingest path, built for ~440 KB bodies (DESIGN.md §9 "The
 // ingest path"): a one-pass schema decoder that falls back to
 // encoding/json outside the JSON subset it handles, an instance build
@@ -40,6 +44,7 @@ import (
 	"context"
 	crand "crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -330,29 +335,31 @@ const (
 )
 
 // prepareSolve validates a request and materializes the instance: algo
-// selection, gmc3 target check, dataset parsing, budget override,
-// canonical fingerprint. Shared by the synchronous Solve path and the
-// async job path so both reject exactly the same inputs.
-func (s *Server) prepareSolve(req *SolveRequest) (*bcc.Instance, string, string, *Error) {
+// selection, gmc3 target check, dataset parsing and budget override.
+// Shared by the synchronous Solve path and the async job path so both
+// reject exactly the same inputs. Each caller fingerprints the instance
+// as far as it needs: a solve takes both hashes from one pass
+// (model.Instance.Fingerprints), a job submit only the canonical one.
+func (s *Server) prepareSolve(req *SolveRequest) (*bcc.Instance, string, *Error) {
 	algoName := req.Algo
 	if algoName == "" {
 		algoName = "abcc"
 	}
 	if err := algo.CheckServable(algoName, req.Target); err != nil {
-		return nil, "", "", errorf(http.StatusBadRequest, "%v", err)
+		return nil, "", errorf(http.StatusBadRequest, "%v", err)
 	}
 	in, err := dataset.FromFormat(req.Instance)
 	if err != nil {
-		return nil, "", "", errorf(http.StatusBadRequest, "invalid instance: %v", err)
+		return nil, "", errorf(http.StatusBadRequest, "invalid instance: %v", err)
 	}
 	if req.Budget != nil {
 		b := *req.Budget
 		if b < 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-			return nil, "", "", errorf(http.StatusBadRequest, "invalid budget override %v", b)
+			return nil, "", errorf(http.StatusBadRequest, "invalid budget override %v", b)
 		}
 		in = in.WithBudget(b)
 	}
-	return in, algoName, in.Fingerprint(), nil
+	return in, algoName, nil
 }
 
 // Solve runs one request through the full service path (cache,
@@ -367,11 +374,12 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 	// 500 (and by recoverBatchItem for batch items).
 	guard.Inject("server.admit")
 
-	in, requested, fp, apiErr := s.prepareSolve(req)
+	in, requested, apiErr := s.prepareSolve(req)
 	if apiErr != nil {
 		s.badRequests.Add(1)
 		return nil, apiErr
 	}
+	fp, fp2 := in.Fingerprints()
 	// Decided per request at admission, before the cache key is formed,
 	// so the key names the algorithm that will actually run.
 	served := s.tierFor(requested)
@@ -411,7 +419,7 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 			s.inflight.Add(1)
 			guard.Inject("server.pool.dequeue")
 			t0 := time.Now()
-			resp := s.runWarmSolve(ctx, in, served, req, fp, key)
+			resp := s.runWarmSolve(ctx, in, served, req, fp, fp2, key)
 			s.observeSolve(served, resp.Status, time.Since(t0).Seconds())
 			answered = true
 			resCh <- resp
@@ -444,7 +452,7 @@ func (s *Server) Solve(parent context.Context, req *SolveRequest) (*SolveRespons
 		// expired context: the solver's anytime plan, which for a warm
 		// request the registry holds to the IG1 floor. The leader still
 		// completes, and caches its result for the next caller.
-		value, outcome, runErr = s.runWarmSolve(ctx, in, served, req, fp, key), solvecache.Miss, nil
+		value, outcome, runErr = s.runWarmSolve(ctx, in, served, req, fp, fp2, key), solvecache.Miss, nil
 	}
 	if runErr != nil {
 		var apiErr *Error
@@ -635,6 +643,17 @@ func cacheKey(fp, algo string, req *SolveRequest) string {
 	return api.CacheKey(fp, algo, req.Seed, req.Target)
 }
 
+// answerRepeat answers the body whose SHA-256 is digest through the
+// repeat memo, or returns nil when the memo does not hold the digest or
+// the canonical entry it points to is gone.
+func (s *Server) answerRepeat(digest string) *SolveResponse {
+	k, ok := s.repeats.Get(digest)
+	if !ok {
+		return nil
+	}
+	return s.solveRepeat(k.(*repeatKey))
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, apiErr := api.ReadBody(w, r, s.cfg.MaxBodyBytes)
 	if apiErr != nil {
@@ -642,15 +661,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, apiErr)
 		return
 	}
+	if h := r.Header.Get(api.BodyDigestHeader); h != "" && len(body) == 0 {
+		s.handleDigest(w, h)
+		return
+	}
 	// SHA-256, not a faster non-cryptographic hash: a collision would
 	// hand one caller the answer to another caller's body.
 	sum := sha256.Sum256(body)
 	digest := string(sum[:])
-	if k, ok := s.repeats.Get(digest); ok {
-		if resp := s.solveRepeat(k.(*repeatKey)); resp != nil {
-			api.WriteJSON(w, http.StatusOK, resp)
-			return
-		}
+	if resp := s.answerRepeat(digest); resp != nil {
+		api.WriteJSON(w, http.StatusOK, resp)
+		return
 	}
 	var req SolveRequest
 	if apiErr := api.DecodeBody(body, &req); apiErr != nil {
@@ -672,6 +693,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// handleDigest answers an empty /v1/solve whose api.BodyDigestHeader
+// names a body by its SHA-256: from the repeat memo, exactly as that
+// body's own bytes would be answered there, or api.StatusUnknownDigest
+// when the memo cannot answer it, so the sender sends the body. A header
+// that is not 64 hex digits is a 400.
+func (s *Server) handleDigest(w http.ResponseWriter, h string) {
+	sum, err := hex.DecodeString(h)
+	if err != nil || len(sum) != sha256.Size {
+		s.badRequests.Add(1)
+		api.WriteError(w, errorf(http.StatusBadRequest, "malformed %s header %q: want %d hex digits", api.BodyDigestHeader, h, 2*sha256.Size))
+		return
+	}
+	if resp := s.answerRepeat(string(sum)); resp != nil {
+		api.WriteJSON(w, http.StatusOK, resp)
+		return
+	}
+	api.WriteError(w, errorf(api.StatusUnknownDigest, "unknown body digest %s: send the body", h))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -6,10 +6,7 @@
 // (internal/reduction).
 package wgraph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Edge is an undirected edge with a non-negative weight.
 type Edge struct {
@@ -166,26 +163,11 @@ func (g *Graph) Neighbors(u int, fn func(v int, w float64, eid int)) {
 	}
 }
 
-// Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // WeightedDegree returns the sum of weights of edges incident to u.
 func (g *Graph) WeightedDegree(u int) float64 {
 	var sum float64
 	for _, h := range g.adj[u] {
 		sum += g.edges[h.eid].W
-	}
-	return sum
-}
-
-// WeightedDegreeInto returns the sum of weights of edges from u into the
-// node set marked by in.
-func (g *Graph) WeightedDegreeInto(u int, in []bool) float64 {
-	var sum float64
-	for _, h := range g.adj[u] {
-		if in[h.to] {
-			sum += g.edges[h.eid].W
-		}
 	}
 	return sum
 }
@@ -218,60 +200,4 @@ func (g *Graph) TotalWeight() float64 {
 		sum += e.W
 	}
 	return sum
-}
-
-// Subgraph returns the subgraph induced by keep (nodes with keep[v] true)
-// plus the mapping old→new node index (−1 for dropped nodes) and new→old.
-// Costs are preserved; only edges with both endpoints kept survive.
-func (g *Graph) Subgraph(keep []bool) (*Graph, []int, []int) {
-	oldToNew := make([]int, len(g.cost))
-	var newToOld []int
-	for v := range g.cost {
-		if keep[v] {
-			oldToNew[v] = len(newToOld)
-			newToOld = append(newToOld, v)
-		} else {
-			oldToNew[v] = -1
-		}
-	}
-	sub := New(len(newToOld))
-	for i, old := range newToOld {
-		sub.cost[i] = g.cost[old]
-	}
-	for _, e := range g.edges {
-		nu, nv := oldToNew[e.U], oldToNew[e.V]
-		if nu >= 0 && nv >= 0 {
-			sub.AddEdgeMerged(nu, nv, e.W)
-		}
-	}
-	return sub, oldToNew, newToOld
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	out := New(len(g.cost))
-	copy(out.cost, g.cost)
-	for _, e := range g.edges {
-		out.AddEdge(e.U, e.V, e.W)
-	}
-	if g.byKey != nil {
-		out.byKey = make(map[[2]int]int, len(g.byKey))
-		for k, v := range g.byKey {
-			out.byKey[k] = v
-		}
-	}
-	return out
-}
-
-// Validate checks internal consistency; used by tests.
-func (g *Graph) Validate() error {
-	for i, e := range g.edges {
-		if e.U == e.V {
-			return fmt.Errorf("edge %d is a self-loop", i)
-		}
-		if e.W < 0 || math.IsNaN(e.W) {
-			return fmt.Errorf("edge %d has invalid weight %v", i, e.W)
-		}
-	}
-	return nil
 }
